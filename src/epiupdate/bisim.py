@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .models import EpistemicModel, group_relation
+from .models import EpistemicModel
 
 
 @dataclass
@@ -21,7 +21,8 @@ class BisimResult:
 
     ``witness`` is a set of world pairs realizing the bisimulation when
     related; ``distinguishing_bound`` is the least refinement depth that
-    separates the points when not (best effort).
+    separates the points when not.  It is exact: the points are
+    n-bisimilar for every n below it and for none from it on.
     """
 
     related: bool
@@ -37,42 +38,53 @@ def _agent_groups(agents):
         yield from combinations(agents, k)
 
 
-def _refine(models, max_rounds=None):
+def _refine(models, max_rounds=None, watch=None):
     """Coarsest partition of the disjoint union stable under all group relations.
 
-    Returns (labels, rounds_used) where labels maps (model_index, world)
-    to a block id.  With ``max_rounds`` set, refinement stops early, which
-    yields the depth-bounded layers.
+    Returns ``(labels, split)``: ``labels[k]`` is the block id of node k,
+    where world w of ``models[i]`` is node ``models[i]._index[w]`` plus the
+    world count of the models before it.  With ``max_rounds`` set,
+    refinement stops early, which yields the depth-bounded layers.  With
+    ``watch = (k, l)``, refinement stops at the first round after which
+    nodes k and l differ (labels only refine, so they stay apart), and
+    ``split`` is that round; otherwise ``split`` is None.
     """
     agents = models[0].agents
     for m in models[1:]:
         if m.agents != agents:
             raise ValueError("bisimulation checks require a shared agent set")
 
-    nodes = [(i, w) for i, m in enumerate(models) for w in m.worlds]
-    pos = {node: k for k, node in enumerate(nodes)}
-    n = len(nodes)
+    # per-agent block of every node, offset per model so that blocks of
+    # different models never share an id
+    agent_col = {}
+    for a in agents:
+        col, offset = [], 0
+        for m in models:
+            bm = m.block_map(a)
+            col.extend(offset + bm[w] for w in m.worlds)
+            offset += len(m.relations[a])
+        agent_col[a] = col
 
-    # fixed group-relation block ids per node, one array per agent group
+    # fixed group-relation block ids per node, one array per agent group:
+    # a group's block is the tuple of its members' blocks
     group_arrays = []
     for group in _agent_groups(agents):
-        arr = [0] * n
-        offset = 0
-        for i, m in enumerate(models):
-            blocks = group_relation(m, group)
-            for j, blk in enumerate(blocks):
-                for w in blk:
-                    arr[pos[(i, w)]] = offset + j
-            offset += len(blocks)
-        group_arrays.append(arr)
+        if len(group) == 1:
+            group_arrays.append(agent_col[group[0]])
+            continue
+        ids: dict[tuple, int] = {}
+        group_arrays.append([ids.setdefault(key, len(ids))
+                             for key in zip(*(agent_col[a] for a in group))])
 
-    # initial partition: equal valuation
+    # initial partition: equal valuation (valuations are stored in world order)
     val_ids: dict[frozenset, int] = {}
-    labels = [0] * n
-    for k, (i, w) in enumerate(nodes):
-        val = models[i].valuation[w]
-        labels[k] = val_ids.setdefault(val, len(val_ids))
+    labels = [val_ids.setdefault(val, len(val_ids))
+              for m in models for val in m.valuation.values()]
+    n = len(labels)
 
+    if watch is not None and labels[watch[0]] != labels[watch[1]]:
+        return labels, 0
+    split = None
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         signatures = [labels]
@@ -91,48 +103,55 @@ def _refine(models, max_rounds=None):
         if new == labels:
             break
         labels = new
+        if watch is not None and labels[watch[0]] != labels[watch[1]]:
+            split = rounds
+            break
 
-    return {node: labels[pos[node]] for node in nodes}, rounds
+    return labels, split
 
 
 def max_collective_bisimulation(model: EpistemicModel) -> tuple:
-    """Coarsest auto-bisimulation of a model, as a partition of its worlds."""
+    """Coarsest auto-bisimulation of a model, blocks in order of first world."""
     labels, _ = _refine([model])
     cells: dict[int, list] = {}
-    for w in model.worlds:
-        cells.setdefault(labels[(0, w)], []).append(w)
-    return tuple(sorted((frozenset(c) for c in cells.values()),
-                        key=lambda blk: min(model._index[w] for w in blk)))
+    for w, label in zip(model.worlds, labels):
+        cells.setdefault(label, []).append(w)
+    return tuple(frozenset(c) for c in cells.values())
+
+
+def pointed_classes(points) -> list:
+    """Bisimulation class of each (model, world) pair, from one refinement.
+
+    Distinct models (by identity) are refined together once; two points
+    get equal class ids iff they are collectively bisimilar.
+    """
+    models = list({id(m): m for m, _ in points}.values())
+    offsets, size = {}, 0
+    for m in models:
+        offsets[id(m)] = size
+        size += len(m.worlds)
+    labels, _ = _refine(models)
+    return [labels[offsets[id(m)] + m._index[w]] for m, w in points]
 
 
 def bisimilar(model, world, other, other_world, want_witness=False) -> BisimResult:
     """Are two pointed models collectively bisimilar?"""
     model.require_world(world)
     other.require_world(other_world)
-    labels, _ = _refine([model, other])
-    related = labels[(0, world)] == labels[(1, other_world)]
+    n = len(model.worlds)
+    # refinement stops early only once the points split, and a witness is
+    # wanted only when they never do, so one run serves both
+    labels, split = _refine([model, other],
+                            watch=(model._index[world], n + other._index[other_world]))
+    related = split is None
     witness = None
     if related and want_witness:
-        witness = frozenset(
-            (w, v)
-            for w in model.worlds
-            for v in other.worlds
-            if labels[(0, w)] == labels[(1, v)]
-        )
-    bound = None
-    if not related:
-        bound = _distinguishing_bound(model, world, other, other_world)
-    return BisimResult(related, witness, bound)
-
-
-def _distinguishing_bound(model, world, other, other_world, limit=64):
-    for k in range(limit):
-        labels, rounds = _refine([model, other], max_rounds=k)
-        if labels[(0, world)] != labels[(1, other_world)]:
-            return k
-        if rounds < k:
-            break
-    return None
+        partners: dict[int, list] = {}
+        for v, label in zip(other.worlds, labels[n:]):
+            partners.setdefault(label, []).append(v)
+        witness = frozenset((w, v) for w, label in zip(model.worlds, labels)
+                            for v in partners.get(label, ()))
+    return BisimResult(related, witness, split)
 
 
 def models_bisimilar(model: EpistemicModel, other: EpistemicModel) -> bool:
@@ -140,9 +159,8 @@ def models_bisimilar(model: EpistemicModel, other: EpistemicModel) -> bool:
     if model.is_empty or other.is_empty:
         return model.is_empty and other.is_empty
     labels, _ = _refine([model, other])
-    mine = {labels[(0, w)] for w in model.worlds}
-    theirs = {labels[(1, v)] for v in other.worlds}
-    return mine <= theirs and theirs <= mine
+    n = len(model.worlds)
+    return set(labels[:n]) == set(labels[n:])
 
 
 def n_bisimilar(model, world, other, other_world, n: int) -> bool:
@@ -152,7 +170,8 @@ def n_bisimilar(model, world, other, other_world, n: int) -> bool:
     if n < 0:
         raise ValueError("bound must be a natural number")
     labels, _ = _refine([model, other], max_rounds=n)
-    return labels[(0, world)] == labels[(1, other_world)]
+    offset = len(model.worlds)
+    return labels[model._index[world]] == labels[offset + other._index[other_world]]
 
 
 def minimize(model: EpistemicModel) -> EpistemicModel:

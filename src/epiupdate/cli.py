@@ -113,12 +113,10 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _resolve_point(ws, model, name):
-    return model.world_named(name)
-
-
 def cmd_update(ws: Workspace, args) -> int:
-    steps = (getattr(args, "steps", None) or []) * max(args.rounds, 1)
+    if args.rounds < 1:
+        raise EpiupdateError("--rounds must be at least 1")
+    steps = (getattr(args, "steps", None) or []) * args.rounds
     if args.model not in ws.models:
         raise EpiupdateError(f"unknown model {args.model!r}")
     current = ws.models[args.model]

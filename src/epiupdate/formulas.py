@@ -213,20 +213,6 @@ def has_dynamic(f: Formula) -> bool:
     return True
 
 
-def has_action_box(f: Formula) -> bool:
-    if isinstance(f, ActionBox):
-        return True
-    if isinstance(f, (Var, Top)):
-        return False
-    if isinstance(f, Neg):
-        return has_action_box(f.sub)
-    if isinstance(f, Conj):
-        return has_action_box(f.left) or has_action_box(f.right)
-    if isinstance(f, (DKnow, PatternBox)):
-        return has_action_box(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def formula_atoms(f: Formula) -> frozenset:
     """All atoms occurring in the formula, including inside action preconditions."""
     out = set()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .actions import ActionModel, MultiPointedActionModel, action_update
-from .bisim import bisimilar
+from .bisim import pointed_classes
 from .comm import (
     CommGraph, CommPattern, enumerate_graphs, identity_graph, make_graph,
     pattern_update,
@@ -65,13 +65,8 @@ def _pointed_sets_match(xs: list[PointedModel], ys: list[PointedModel]) -> bool:
     """Mutual matching up to pointed bisimilarity; empty matches only empty."""
     if not xs or not ys:
         return not xs and not ys
-    for x in xs:
-        if not any(bisimilar(x.model, x.point, y.model, y.point) for y in ys):
-            return False
-    for y in ys:
-        if not any(bisimilar(x.model, x.point, y.model, y.point) for x in xs):
-            return False
-    return True
+    classes = pointed_classes([(p.model, p.point) for p in xs + ys])
+    return set(classes[:len(xs)]) == set(classes[len(xs):])
 
 
 def update_equivalent_on(bases, x: UpdateSpec, y: UpdateSpec) -> bool:

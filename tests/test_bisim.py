@@ -11,7 +11,9 @@ from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 
-from genlib import model_atoms, random_local_model, random_static_formula
+from genlib import (
+    model_atoms, random_local_model, random_pattern, random_static_formula,
+)
 
 
 def graph(name, pattern):
@@ -185,6 +187,55 @@ class TestBoundedBisimilarity:
                     f = random_static_formula(rng, atoms, m.agents, depth=depth)
                     assert satisfies(m, w, f) == satisfies(n, v, f)
                     checked += 1
+
+
+class TestExactDepth:
+    def least_failing_depth(self, m, w, n, v):
+        """Oracle: the first bound at which bounded bisimilarity fails, if any.
+
+        Refinement of the union is stable after at most as many rounds as
+        it has worlds, so a pair still related there is bisimilar.
+        """
+        for k in range(len(m.worlds) + len(n.worlds) + 1):
+            if not n_bisimilar(m, w, n, v, k):
+                return k
+        return None
+
+    def test_bound_is_least_failing_depth(self):
+        rng = random.Random(53)
+        depths = []
+        while len(depths) < 80:
+            m = random_local_model(rng, max_worlds=6)
+            if rng.random() < 0.5:
+                m = pattern_update(m, random_pattern(rng, m.agents, max_graphs=3))
+            n = m if rng.random() < 0.5 else random_local_model(rng, max_worlds=6)
+            if m.agents != n.agents:
+                continue
+            # prefer pairs that agree on atoms, so deeper splits show up
+            w = rng.choice(m.worlds)
+            same = [v for v in n.worlds
+                    if n.valuation[v] == m.valuation[w] and (n, v) != (m, w)]
+            v = rng.choice(same or n.worlds)
+            res = bisimilar(m, w, n, v)
+            depth = self.least_failing_depth(m, w, n, v)
+            assert res.distinguishing_bound == depth
+            assert res.related == (depth is None)
+            depths.append(depth)
+        assert None in depths and 0 in depths
+        assert any(d is not None and d >= 2 for d in depths)
+
+    def test_deep_split_on_snapshot_chain(self):
+        m = sq_model()
+        isp = immediate_snapshot()
+        for _ in range(5):
+            m = pattern_update(m, isp)
+        assert len(m.worlds) == 972
+        w, v = m.world_named("00.U.U.U.U.Rab"), m.world_named("00.U.U.U.U.Rba")
+        res = bisimilar(m, w, m, v)
+        assert not res.related
+        assert res.distinguishing_bound == 121
+        assert n_bisimilar(m, w, m, v, 120)
+        assert not n_bisimilar(m, w, m, v, 121)
 
 
 class TestCollectiveVsPlain:

@@ -50,6 +50,13 @@ class TestUpdate:
         assert code == 0
         assert len(json.loads(out)["worlds"]) == 36
 
+    def test_rounds_below_one_rejected(self, capsys):
+        for rounds in ("0", "-1"):
+            code, out, err = run(capsys, "update", "Sq", "--with", "IS",
+                                 "--rounds", rounds)
+            assert code == 2 and out == ""
+            assert err == "error: --rounds must be at least 1\n"
+
     def test_empty_product_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(WS_WITH_ABSURD))
@@ -127,6 +134,14 @@ class TestBisim:
                            "--point1", "11.Rba", "--point2", "11.U",
                            "--bound", "1")
         assert code == 1
+
+    def test_exact_distinguishing_depth(self, capsys):
+        chain = "Sq" + " odot IS" * 5
+        code, out, _ = run(capsys, "bisim", chain, chain,
+                           "--point1", "00.U.U.U.U.Rab",
+                           "--point2", "00.U.U.U.U.Rba")
+        assert code == 1
+        assert out.strip() == "not bisimilar (distinguished at depth 121)"
 
 
 class TestInduce:

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from epiupdate import (
-    ActionUpdate, CommPattern, EpiupdateError, EpistemicModel,
+    ActionUpdate, Atom, CommPattern, EpiupdateError, EpistemicModel,
     MultiPointedActionModel, PatternUpdate, PointedModel, Var, announce,
-    check_circular_chain, disj, find_equivalent_pattern,
+    bisimilar, check_circular_chain, disj, find_equivalent_pattern,
     fresh_variable_counterexample, full_interpreted_system,
     identity_graph, induced_action_model, minimize, models_bisimilar,
     pattern_update, skip_model, update_equivalent_on, update_results,
@@ -13,13 +15,29 @@ from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, reveal_base_model,
     sq_model, P_A, P_B, Q_A,
 )
-from epiupdate.search import candidate_patterns
+from epiupdate.search import _pointed_sets_match, candidate_patterns
 
 AB = ("a", "b")
+ABC = ("a", "b", "c")
+P_C = Atom("p", "c")
 
 
 def graph(name, pattern):
     return next(g for g in pattern.graphs if g.name == name)
+
+
+def pairwise_sets_match(xs, ys):
+    """Oracle: one ``bisimilar`` call per pair of results.
+
+    Every x has a bisimilar y and every y a bisimilar x; empty matches
+    only empty.
+    """
+    if not xs or not ys:
+        return not xs and not ys
+    return (all(any(bisimilar(x.model, x.point, y.model, y.point) for y in ys)
+                for x in xs)
+            and all(any(bisimilar(x.model, x.point, y.model, y.point) for x in xs)
+                    for y in ys))
 
 
 class TestUpdateResults:
@@ -50,6 +68,50 @@ class TestUpdateResults:
         target = ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
         trivial = PatternUpdate(CommPattern([identity_graph(AB)]))
         assert not update_equivalent_on([PointedModel(m, "w2")], trivial, target)
+
+
+class TestSharedRefinement:
+    def test_agrees_with_pairwise_matching(self):
+        sq3 = full_interpreted_system([P_A, P_B, P_C])
+        # the announcement of p_a | p_b is inexecutable at 001
+        bases = [PointedModel(sq3, w) for w in ("110", "011", "001")]
+        candidates = list(candidate_patterns(ABC, 2))
+        rng = random.Random(59)
+        target = rng.choice([c for c in candidates if len(c.graphs) == 2])
+        sample = rng.sample(candidates, 40) + [target]
+        ann = announce(disj(Var(P_A), Var(P_B)), ABC)
+        u = induced_action_model(target, [P_A, P_B, P_C])
+        targets = [
+            ActionUpdate(MultiPointedActionModel(ann, frozenset(ann.actions))),
+            PatternUpdate(target),
+            ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions))),
+        ]
+        verdicts = set()
+        for spec in targets:
+            for pattern in sample:
+                cand = PatternUpdate(pattern)
+                want = [pairwise_sets_match(update_results(cand, base),
+                                            update_results(spec, base))
+                        for base in bases]
+                for base, ok in zip(bases, want):
+                    assert update_equivalent_on([base], cand, spec) == ok
+                assert update_equivalent_on(bases, cand, spec) == all(want)
+                verdicts.update(want)
+        assert verdicts == {True, False}
+
+    def test_empty_matches_only_empty(self):
+        sq = sq_model()
+        x = PointedModel(sq, "11")
+        assert _pointed_sets_match([], [])
+        assert not _pointed_sets_match([x], [])
+        assert not _pointed_sets_match([], [x])
+
+    def test_agent_sets_must_agree(self):
+        sq = sq_model()
+        other = full_interpreted_system([], agents=ABC)
+        with pytest.raises(ValueError):
+            _pointed_sets_match([PointedModel(sq, "11")],
+                                [PointedModel(other, other.worlds[0])])
 
 
 class TestFindEquivalentPattern:
