@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from .comm import CommPattern
 from .errors import EpiupdateError
 from .formulas import Conj, Formula, ActionBox, description, has_dynamic
-from .models import EpistemicModel, atom_key, ensure_capacity
+from .models import EpistemicModel, _Partitioned, atom_key, ensure_capacity
 
 
-class ActionModel:
+class ActionModel(_Partitioned):
     """Actions, one partition per agent, and a precondition per action.
 
     Preconditions of hand-authored models must be free of dynamic
@@ -27,60 +27,17 @@ class ActionModel:
 
     def __init__(self, actions, relations, pre, agents=None, name=None,
                  atoms=None, allow_dynamic_pre=False):
-        acts = tuple(actions)
-        if len(set(acts)) != len(acts):
-            raise ValueError("duplicate action identifiers")
-        self.actions = acts
+        acts = self.actions = self._init_partitions(actions, relations, agents, "action")
         self.action_set = frozenset(acts)
-        self._index = {e: i for i, e in enumerate(acts)}
-
-        if agents is None:
-            ags = tuple(sorted(relations))
-        else:
-            ags = tuple(sorted(agents))
-            if set(relations) != set(ags):
-                raise ValueError("relations must cover exactly the agent set")
-        self.agents = ags
-
-        self.relations = {
-            a: tuple(sorted((frozenset(b) for b in relations[a]),
-                            key=lambda blk: min(self._index[e] for e in blk)))
-            for a in ags
-        }
         self.pre = {e: pre[e] for e in acts}
         self.name = name
         self.atoms = tuple(sorted(atoms, key=atom_key)) if atoms is not None else None
 
-        self._validate_partitions()
         if not allow_dynamic_pre:
             for e in acts:
                 if has_dynamic(self.pre[e]):
                     raise ValueError(
                         f"precondition of action {e!r} contains a dynamic modality")
-        self._block_maps: dict[str, dict] = {}
-
-    def _validate_partitions(self):
-        universe = set(self.actions)
-        for a, blocks in self.relations.items():
-            seen = set()
-            for blk in blocks:
-                if not blk:
-                    raise ValueError(f"empty block in relation of agent {a}")
-                if blk & seen:
-                    raise ValueError(f"overlapping blocks in relation of agent {a}")
-                seen |= blk
-            if seen != universe:
-                raise ValueError(f"relation of agent {a} does not cover all actions")
-
-    def block_map(self, agent) -> dict:
-        m = self._block_maps.get(agent)
-        if m is None:
-            m = {}
-            for i, blk in enumerate(self.relations[agent]):
-                for e in blk:
-                    m[e] = i
-            self._block_maps[agent] = m
-        return m
 
     def __len__(self):
         return len(self.actions)
@@ -159,13 +116,11 @@ def induced_action_model(pattern: CommPattern, atoms,
     actions = [(g, q) for g in pattern.graphs for q in subsets]
     pre = {(g, q): description(q, atom_list) for (g, q) in actions}
 
-    heard = {g: {a: frozenset(s for s, r in g.edges if r == a) for a in pattern.agents}
-             for g in pattern.graphs}
     relations = {}
     for a in pattern.agents:
         cells: dict[tuple, list] = {}
         for g, q in actions:
-            senders = heard[g][a]
+            senders = g.heard[a]
             heard_val = frozenset(p for p in q if p.owner in senders)
             cells.setdefault((senders, heard_val), []).append((g, q))
         relations[a] = [frozenset(c) for c in cells.values()]
@@ -192,14 +147,12 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
     worlds = [(v, (g, fired[v])) for v in model.worlds for g in pattern.graphs]
     valuation = {(v, act): model.valuation[v] for (v, act) in worlds}
 
-    heard = {g: {a: frozenset(s for s, r in g.edges if r == a) for a in model.agents}
-             for g in pattern.graphs}
     relations = {}
     for a in model.agents:
         wmap = model.block_map(a)
         cells: dict[tuple, list] = {}
         for v, (g, q) in worlds:
-            senders = heard[g][a]
+            senders = g.heard[a]
             heard_val = frozenset(p for p in q if p.owner in senders)
             cells.setdefault((wmap[v], senders, heard_val), []).append((v, (g, q)))
         relations[a] = [frozenset(c) for c in cells.values()]

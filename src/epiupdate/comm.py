@@ -22,7 +22,7 @@ class CommGraph:
     product world identifiers and get hashed constantly).
     """
 
-    __slots__ = ("agents", "edges", "_hash")
+    __slots__ = ("agents", "edges", "_hash", "_heard")
 
     def __init__(self, agents, edges):
         agents = tuple(agents)
@@ -37,6 +37,7 @@ class CommGraph:
         self.agents = agents
         self.edges = edges
         self._hash = hash((agents, edges))
+        self._heard = None
 
     def __eq__(self, other):
         return (self is other
@@ -64,6 +65,20 @@ class CommGraph:
 
     def __str__(self):
         return self.name
+
+    @property
+    def heard(self) -> dict:
+        """Each agent -> the frozenset of agents it hears from, itself included.
+
+        Computed on first use: patterns and searches build many graphs that
+        are never used in an update.
+        """
+        if self._heard is None:
+            senders = {a: set() for a in self.agents}
+            for s, r in self.edges:
+                senders[r].add(s)
+            self._heard = {a: frozenset(ss) for a, ss in senders.items()}
+        return self._heard
 
     def literal(self) -> str:
         extra = sorted((s, r) for s, r in self.edges if s != r)
@@ -96,7 +111,7 @@ def receivers_from(graph: CommGraph, agent: str) -> frozenset:
     """
     if agent not in graph.agents:
         raise ValueError(f"unknown agent {agent}")
-    return frozenset(s for s, r in graph.edges if r == agent)
+    return graph.heard[agent]
 
 
 def parse_graph_literal(text: str, agents) -> CommGraph:
@@ -208,14 +223,12 @@ def pattern_update(model: EpistemicModel, pattern: CommPattern) -> EpistemicMode
     worlds = [(w, g) for w in model.worlds for g in pattern.graphs]
     valuation = {(w, g): model.valuation[w] for (w, g) in worlds}
 
-    heard = {g: {a: frozenset(s for s, r in g.edges if r == a) for a in model.agents}
-             for g in pattern.graphs}
     relations = {}
     for a in model.agents:
         meet_maps = {}
         cells = {}
         for w, g in worlds:
-            senders = heard[g][a]
+            senders = g.heard[a]
             bm = meet_maps.get(senders)
             if bm is None:
                 blocks = group_relation(model, senders)

@@ -17,40 +17,34 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', r'\"').replace("\n", r"\n") + '"'
 
 
-def model_dot(model: EpistemicModel) -> str:
-    lines = ["graph model {", "  node [shape=box];"]
-    for w in sorted(model.worlds, key=world_name):
-        label = world_name(w)
-        vals = " ".join(sorted(str(p) for p in model.valuation[w]))
-        text = label + ("\n" + vals if vals else "")
-        lines.append(f"  {_quote(label)} [label={_quote(text)}];")
+def _graph_dot(kind: str, shape: str, model, elements, name, text) -> str:
+    """DOT for worlds or actions: a node per element, labeled
+    ``text(x, name(x))``, and an edge per agent and pair of elements in one
+    of its blocks."""
+    lines = [f"graph {kind} {{", f"  node [shape={shape}];"]
+    for x in sorted(elements, key=name):
+        label = name(x)
+        lines.append(f"  {_quote(label)} [label={_quote(text(x, label))}];")
     edges = []
     for a in model.agents:
         for blk in model.relations[a]:
             if len(blk) < 2:
                 continue
-            for u, v in combinations(sorted(blk, key=world_name), 2):
-                edges.append((world_name(u), world_name(v), a))
+            for u, v in combinations(sorted(blk, key=name), 2):
+                edges.append((name(u), name(v), a))
     for u, v, a in sorted(edges):
         lines.append(f"  {_quote(u)} -- {_quote(v)} [label={_quote(a)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def model_dot(model: EpistemicModel) -> str:
+    def text(w, label):
+        vals = " ".join(sorted(str(p) for p in model.valuation[w]))
+        return label + ("\n" + vals if vals else "")
+    return _graph_dot("model", "box", model, model.worlds, world_name, text)
 
 
 def action_model_dot(model) -> str:
-    lines = ["graph actions {", "  node [shape=ellipse];"]
-    for e in sorted(model.actions, key=_component_name):
-        label = _component_name(e)
-        text = label + "\npre: " + format_formula(model.pre[e])
-        lines.append(f"  {_quote(label)} [label={_quote(text)}];")
-    edges = []
-    for a in model.agents:
-        for blk in model.relations[a]:
-            if len(blk) < 2:
-                continue
-            for u, v in combinations(sorted(blk, key=_component_name), 2):
-                edges.append((_component_name(u), _component_name(v), a))
-    for u, v, a in sorted(edges):
-        lines.append(f"  {_quote(u)} -- {_quote(v)} [label={_quote(a)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _graph_dot("actions", "ellipse", model, model.actions, _component_name,
+                      lambda e, label: label + "\npre: " + format_formula(model.pre[e]))

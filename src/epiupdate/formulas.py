@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .comm import CommGraph, CommPattern
-from .models import atom_key
+from .models import _component_name, atom_key
 
 
 class Formula:
@@ -259,17 +259,10 @@ def format_formula(f: Formula) -> str:
         return f"[{pname}:{f.graph.name}] " + format_formula(f.sub)
     if isinstance(f, ActionBox):
         mname = f.model.name or "action-model"
-        return f"[{mname}.{_action_label(f.action)}] " + format_formula(f.sub)
+        return f"[{mname}.{_component_name(f.action)}] " + format_formula(f.sub)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _pattern_literal(pattern: CommPattern) -> str:
     return "<" + ";".join(g.literal() for g in pattern.graphs) + ">"
 
-
-def _action_label(action) -> str:
-    if isinstance(action, tuple) and len(action) == 2 and hasattr(action[0], "name"):
-        graph, values = action
-        vals = ",".join(sorted(str(p) for p in values))
-        return f"({graph.name},{{{vals}}})"
-    return str(action)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .comm import CommGraph, CommPattern, pattern_update
+from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
 from .formulas import ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
 from .models import EpistemicModel, group_relation
@@ -126,7 +126,7 @@ def view_of(agent: str, history: tuple) -> View:
     if not history:
         return EMPTY_VIEW
     *earlier, last = history
-    heard = sorted(s for s, r in last.edges if r == agent)
+    heard = sorted(last.heard[agent])
     children = tuple(view_of(b, tuple(earlier)) for b in heard)
     return View(tuple(heard), children)
 
@@ -141,7 +141,7 @@ def concrete_view(agent: str, history: tuple, initials: tuple) -> View:
     if not history:
         return View((), (), initial=dict(initials)[agent])
     *earlier, last = history
-    heard = sorted(s for s, r in last.edges if r == agent)
+    heard = sorted(last.heard[agent])
     children = tuple(concrete_view(b, tuple(earlier), initials) for b in heard)
     return View(tuple(heard), children)
 
@@ -217,18 +217,6 @@ class HistoryModel:
     def round(self) -> int:
         return len(self.rounds)
 
-    def history_of(self, world) -> tuple[CommGraph, ...]:
-        graphs = []
-        for _ in range(self.round):
-            world, g = world
-            graphs.append(g)
-        return tuple(reversed(graphs))
-
-    def base_world_of(self, world):
-        for _ in range(self.round):
-            world, _g = world
-        return world
-
     def __repr__(self):
         return f"<HistoryModel round {self.round}, {len(self.model.worlds)} worlds>"
 
@@ -246,27 +234,40 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h.model, pattern)
-    rounds = h.rounds + (pattern,)
+    model = _with_round_variables(plain, h.base, h.round, lambda g: g)
+    return HistoryModel(model, h.base, h.rounds + (pattern,))
 
+
+def _with_round_variables(plain: EpistemicModel, base: EpistemicModel,
+                          rounds_so_far: int, graph_of) -> EpistemicModel:
+    """``plain`` with the new round's history variables made true.
+
+    Each world of ``plain`` nests one step per round around a base world,
+    ``(...((w, s1), s2)..., s_n)`` with n = ``rounds_so_far + 1``;
+    ``graph_of`` reads a round's communication graph off its step.  Every
+    agent gets the variable of its view on the graph sequence, with the
+    base world's local valuations in the leaves.
+    """
     valuation = {}
     var_cache: dict[tuple, frozenset] = {}
     for w in plain.worlds:
-        prev, g = w
-        sigma = h.history_of(prev) + (g,)
-        initials = _initials_key(h.base, h.base_world_of(prev))
-        key = (sigma, initials)
+        graphs = []
+        x = w
+        for _ in range(rounds_so_far + 1):
+            x, step = x
+            graphs.append(graph_of(step))
+        key = (tuple(reversed(graphs)), _initials_key(base, x))
         added = var_cache.get(key)
         if added is None:
+            sigma, initials = key
             added = frozenset(
                 HistoryVariable(concrete_view(a, sigma, initials), a)
-                for a in h.model.agents
+                for a in plain.agents
             )
             var_cache[key] = added
         valuation[w] = plain.valuation[w] | added
-
-    model = EpistemicModel(plain.worlds, plain.relations, valuation,
-                           agents=plain.agents)
-    return HistoryModel(model, h.base, rounds)
+    return EpistemicModel(plain.worlds, plain.relations, valuation,
+                          agents=plain.agents)
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -368,37 +369,7 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    valuation = {}
-    var_cache: dict[tuple, frozenset] = {}
-    for w in plain.worlds:
-        prev, (g, _q) = w
-        sigma = _chain_history(prev, rounds_so_far) + (g,)
-        initials = _initials_key(base, _chain_base(prev, rounds_so_far))
-        key = (sigma, initials)
-        added = var_cache.get(key)
-        if added is None:
-            added = frozenset(
-                HistoryVariable(concrete_view(a, sigma, initials), a)
-                for a in model.agents
-            )
-            var_cache[key] = added
-        valuation[w] = plain.valuation[w] | added
-    return EpistemicModel(plain.worlds, plain.relations, valuation,
-                          agents=plain.agents)
-
-
-def _chain_history(world, k: int) -> tuple[CommGraph, ...]:
-    graphs = []
-    for _ in range(k):
-        world, action = world
-        graphs.append(action[0])
-    return tuple(reversed(graphs))
-
-
-def _chain_base(world, k: int):
-    for _ in range(k):
-        world, _action = world
-    return world
+    return _with_round_variables(plain, base, rounds_so_far, lambda act: act[0])
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:

@@ -50,27 +50,15 @@ def _push(pattern: CommPattern, graph: CommGraph, body: Formula) -> Formula:
         return Conj(_push(pattern, graph, body.left),
                     _push(pattern, graph, body.right))
     if isinstance(body, DKnow):
-        group = body.group
-        heard = _heard_by_group(graph, group)
+        # graphs in which every group member hears from the same agents
+        # are indistinguishable for the group
+        members = sorted(body.group)
+        profile = [graph.heard[a] for a in members]
         alternatives = [g for g in pattern.graphs
-                        if _heard_profile(g, group) == _heard_profile(graph, group)]
-        return conj(*(DKnow(heard, _push(pattern, g, body.sub))
+                        if [g.heard[a] for a in members] == profile]
+        return conj(*(DKnow(frozenset().union(*profile), _push(pattern, g, body.sub))
                       for g in alternatives))
     raise TypeError(f"not a formula: {body!r}")
-
-
-def _heard_profile(graph: CommGraph, group) -> tuple:
-    """Who each group member hears from; equal profiles are indistinguishable."""
-    return tuple(frozenset(s for s, r in graph.edges if r == a)
-                 for a in sorted(group))
-
-
-def _heard_by_group(graph: CommGraph, group) -> frozenset:
-    """Union of the senders heard by any member of the group."""
-    out = set()
-    for a in group:
-        out |= {s for s, r in graph.edges if r == a}
-    return frozenset(out)
 
 
 def is_iunf(f: Formula) -> bool:

@@ -73,7 +73,64 @@ def atom_key(atom) -> str:
     return str(atom)
 
 
-class EpistemicModel:
+class _Partitioned:
+    """Elements (worlds or actions) with one partition of them per agent.
+
+    The shared core of epistemic and action models: it checks that each
+    agent's blocks partition the elements exactly, sorts the blocks by
+    their first element, and maps elements to block indices.
+    """
+
+    def _init_partitions(self, elements, relations, agents, noun: str) -> tuple:
+        elems = tuple(elements)
+        self._index = {x: i for i, x in enumerate(elems)}
+        if len(self._index) != len(elems):
+            raise ValueError(f"duplicate {noun} identifiers")
+        if agents is None:
+            self.agents = tuple(sorted(relations))
+        else:
+            self.agents = tuple(sorted(agents))
+            if set(relations) != set(self.agents):
+                raise ValueError("relations must cover exactly the agent set")
+        self.relations = {a: self._sorted_blocks(a, relations[a], noun)
+                          for a in self.agents}
+        self._block_maps: dict[str, dict] = {}
+        return elems
+
+    def _sorted_blocks(self, agent, blocks, noun: str) -> tuple:
+        """Validate one agent's blocks, then sort them by first element."""
+        index = self._index
+        seen = set()
+        out = []
+        for b in blocks:
+            blk = frozenset(b)
+            if not blk:
+                raise ValueError(f"empty block in relation of agent {agent}")
+            if not seen.isdisjoint(blk):
+                raise ValueError(f"overlapping blocks in relation of agent {agent}")
+            seen |= blk
+            out.append(blk)
+        if seen != index.keys():
+            unknown = sorted(repr(x) for x in seen if x not in index)
+            if unknown:
+                raise ValueError(f"relation of agent {agent} names unknown "
+                                 f"{noun} {unknown[0]}")
+            raise ValueError(f"relation of agent {agent} does not cover all {noun}s")
+        return tuple(sorted(out, key=lambda blk: min(index[x] for x in blk)))
+
+    def block_map(self, agent) -> dict:
+        """element -> index of its block in ``relations[agent]``."""
+        m = self._block_maps.get(agent)
+        if m is None:
+            m = {}
+            for i, blk in enumerate(self.relations[agent]):
+                for x in blk:
+                    m[x] = i
+            self._block_maps[agent] = m
+        return m
+
+
+class EpistemicModel(_Partitioned):
     """Worlds, one partition per agent, and a valuation of owned atoms.
 
     ``relations`` maps each agent to an iterable of blocks (iterables of
@@ -85,57 +142,31 @@ class EpistemicModel:
     __hash__ = object.__hash__
 
     def __init__(self, worlds, relations, valuation, agents=None, check_locality=True):
-        ws = tuple(worlds)
-        if len(set(ws)) != len(ws):
-            raise ValueError("duplicate world identifiers")
-        self.worlds = ws
-        self._index = {w: i for i, w in enumerate(ws)}
-
-        if agents is None:
-            ags = tuple(sorted(relations))
-        else:
-            ags = tuple(sorted(agents))
-            if set(relations) != set(ags):
-                raise ValueError("relations must cover exactly the agent set")
-        if not ags:
+        ws = self.worlds = self._init_partitions(worlds, relations, agents, "world")
+        if not self.agents:
             raise ValueError("agent set must be nonempty")
-        self.agents = ags
-
-        self.relations = {
-            a: tuple(sorted((frozenset(b) for b in relations[a]),
-                            key=lambda blk: min(self._index[w] for w in blk)))
-            for a in ags
-        }
         self.valuation = {w: frozenset(valuation.get(w, ())) for w in ws}
 
         # per-instance caches; values are deterministic, so a racy double
         # computation is harmless
         self._group_cache: dict[frozenset, tuple] = {}
-        self._block_maps: dict[str, dict] = {}
         self._pattern_cache: dict = {}
         self._action_cache: dict = {}
         self._locals_cache: dict = {}
         self._name_map = None
 
-        self._validate_partitions()
         self._validate_owners()
         if check_locality:
-            self._require_local()
+            bad = _locality_violation(self)
+            if bad is not None:
+                a, first, w = bad
+                raise LocalityError(
+                    f"worlds {world_name(first)} and {world_name(w)} are "
+                    f"indistinguishable for agent {a} but disagree on "
+                    f"{a}-owned atoms"
+                )
 
     # -- validation ------------------------------------------------------
-
-    def _validate_partitions(self):
-        universe = set(self.worlds)
-        for a, blocks in self.relations.items():
-            seen = set()
-            for blk in blocks:
-                if not blk:
-                    raise ValueError(f"empty block in relation of agent {a}")
-                if blk & seen:
-                    raise ValueError(f"overlapping blocks in relation of agent {a}")
-                seen |= blk
-            if seen != universe:
-                raise ValueError(f"relation of agent {a} does not cover all worlds")
 
     def _validate_owners(self):
         ags = set(self.agents)
@@ -146,20 +177,6 @@ class EpistemicModel:
                         f"atom {p} at world {world_name(w)} is owned by "
                         f"unknown agent {p.owner}"
                     )
-
-    def _require_local(self):
-        for a in self.agents:
-            for blk in self.relations[a]:
-                it = iter(blk)
-                first = next(it)
-                ref = self.locals_at(first).get(a, frozenset())
-                for w in it:
-                    if self.locals_at(w).get(a, frozenset()) != ref:
-                        raise LocalityError(
-                            f"worlds {world_name(first)} and {world_name(w)} are "
-                            f"indistinguishable for agent {a} but disagree on "
-                            f"{a}-owned atoms"
-                        )
 
     # -- accessors -------------------------------------------------------
 
@@ -181,17 +198,6 @@ class EpistemicModel:
             raise EmptyModelError("pointed query against an empty model")
         if w not in self._index:
             raise UnknownNameError(f"unknown world {world_name(w)}")
-
-    def block_map(self, agent) -> dict:
-        """world -> index of its block in ``relations[agent]``."""
-        m = self._block_maps.get(agent)
-        if m is None:
-            m = {}
-            for i, blk in enumerate(self.relations[agent]):
-                for w in blk:
-                    m[w] = i
-            self._block_maps[agent] = m
-        return m
 
     def block_of(self, agent, world) -> frozenset:
         return self.relations[agent][self.block_map(agent)[world]]
@@ -249,15 +255,24 @@ def _component_name(x) -> str:
     return str(x)
 
 
-def is_local(model: EpistemicModel) -> bool:
-    """True iff every agent's blocks are constant on that agent's own atoms."""
+def _locality_violation(model: EpistemicModel):
+    """The first (agent, w, v) where w and v share a block of the agent but
+    disagree on its own atoms, or None when the model is local."""
     empty = frozenset()
     for a in model.agents:
         for blk in model.relations[a]:
-            vals = {model.locals_at(w).get(a, empty) for w in blk}
-            if len(vals) > 1:
-                return False
-    return True
+            it = iter(blk)
+            first = next(it)
+            ref = model.locals_at(first).get(a, empty)
+            for w in it:
+                if model.locals_at(w).get(a, empty) != ref:
+                    return a, first, w
+    return None
+
+
+def is_local(model: EpistemicModel) -> bool:
+    """True iff every agent's blocks are constant on that agent's own atoms."""
+    return _locality_violation(model) is None
 
 
 def is_interpreted_system(model: EpistemicModel) -> bool:
@@ -297,8 +312,8 @@ def group_relation(model: EpistemicModel, group) -> tuple:
         cells: dict[tuple, list] = {}
         for w in model.worlds:
             cells.setdefault(tuple(m[w] for m in maps), []).append(w)
-        result = tuple(sorted((frozenset(c) for c in cells.values()),
-                              key=lambda blk: min(model._index[w] for w in blk)))
+        # cells open in world order, so they are already sorted by first world
+        result = tuple(frozenset(c) for c in cells.values())
     model._group_cache[b] = result
     return result
 

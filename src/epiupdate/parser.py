@@ -58,6 +58,13 @@ _TOKEN_RE = re.compile(
 
 RESERVED = {"D", "K", "hK", "hD", "true", "false"}
 
+# Deepest nesting of subformulas the parser accepts.  One level costs the
+# parser, the evaluators and the printer at most five Python frames (sugar
+# such as ``hK`` expands into three tree levels), so a formula at this
+# limit stays inside Python's default recursion limit of 1000, with room
+# for the caller's own frames.
+MAX_NESTING = 128
+
 
 @dataclass
 class ParserContext:
@@ -134,6 +141,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.ctx = context
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -153,6 +161,16 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
+        """One subformula, nested inside ``self.depth`` enclosing ones."""
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
+        f = self.subformula()
+        self.depth -= 1
+        return f
+
+    def subformula(self) -> Formula:
         kind, value, pos = self.peek()
         if kind == "ATOM":
             self.next()

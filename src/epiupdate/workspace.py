@@ -158,9 +158,48 @@ def action_model_to_json(model: ActionModel) -> dict:
     }
 
 
+# The shape of a workspace document: a dict lists its keys ("?" marks an
+# optional one, "*" stands for every key), a one-element list a list of
+# such values, and ``str`` a string.
+_BLOCKS = {"*": [[str]]}
+_DOCUMENT = {
+    "agents": [str],
+    "atoms?": [{"base": str, "owner": str}],
+    "models?": {"*": {"worlds": [{"id": str, "val?": [str]}], "relations": _BLOCKS}},
+    "patterns?": {"*": [str]},
+    "action_models?": {"*": {"actions": [{"id": str, "pre": str}], "relations": _BLOCKS}},
+    "formulas?": {"*": str},
+}
+
+
+def _check_shape(value, shape, path: str) -> None:
+    """Raise ValueError naming the path, e.g. ``models.M.worlds: missing``."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path or 'workspace'}: expected an object")
+        prefix = f"{path}." if path else ""
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if key == "*":
+                for item_name, item in value.items():
+                    _check_shape(item, sub, prefix + item_name)
+            elif name in value:
+                _check_shape(value[name], sub, prefix + name)
+            elif name == key:
+                raise ValueError(f"{prefix}{key}: missing")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected a list")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif not isinstance(value, str):
+        raise ValueError(f"{path}: expected a string")
+
+
 def load_workspace(path) -> Workspace:
     with open(path) as fh:
         doc = json.load(fh)
+    _check_shape(doc, _DOCUMENT, "")
     agents = tuple(sorted(doc["agents"]))
     atoms = [_atom_from_json(o) for o in doc.get("atoms", [])]
     atoms_by_name = {str(p): p for p in atoms}

@@ -173,6 +173,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="dynamic"):
             ActionModel(["e"], {"a": [["e"]], "b": [["e"]]}, {"e": dyn})
 
+    @pytest.mark.parametrize("actions, blocks, message", [
+        (["e"], [["e", "zz"]], "relation of agent a names unknown action 'zz'"),
+        (["e"], [["e"], []], "empty block in relation of agent a"),
+        (["e"], [[], ["e"]], "empty block in relation of agent a"),
+        (["e", "f"], [["e", "f"], ["f"]], "overlapping blocks in relation of agent a"),
+        (["e", "f"], [["e"]], "relation of agent a does not cover all actions"),
+    ])
+    def test_partition_contract(self, actions, blocks, message):
+        with pytest.raises(ValueError) as exc:
+            ActionModel(actions, {"a": blocks, "b": [actions]},
+                        {e: TRUE for e in actions})
+        assert str(exc.value) == message
+
     def test_multipoint_validation(self):
         sk = skip_model(AB)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from epiupdate.cli import main
 
 WS_WITH_ABSURD = {
@@ -85,6 +87,15 @@ class TestCheck:
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "Sq", "11", "(p_a &")
         assert code == 2 and "error" in err
+
+    def test_nesting_limit_exits_two(self, capsys):
+        from epiupdate.parser import MAX_NESTING
+        code, out, _ = run(capsys, "check", "Sq", "11", "~" * MAX_NESTING + "p_a")
+        assert code == 0 and out.strip() == "true"
+        for depth in (MAX_NESTING + 1, 3000):
+            code, out, err = run(capsys, "check", "Sq", "11", "~" * depth + "p_a")
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: formula nested deeper than {MAX_NESTING}")
 
     def test_unknown_world_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "Sq", "99", "p_a")
@@ -207,3 +218,60 @@ class TestOtherCommands:
         dumped = list(out_dir.glob("*.dot"))
         assert len(dumped) == 2
         assert dumped[0].read_text().startswith("graph model {")
+
+
+def _workspace(**models):
+    return {"agents": ["a", "b"], "atoms": [{"base": "p", "owner": "a"}],
+            "models": models}
+
+
+def _model(worlds=({"id": "w1", "val": ["p_a"]}, {"id": "w2"}), **relations):
+    return {"worlds": list(worlds),
+            "relations": {"a": [["w1"], ["w2"]], "b": [["w1", "w2"]], **relations}}
+
+
+def _drop(doc, *path):
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    del inner[last]
+    return doc
+
+
+class TestWorkspaceContract:
+    """Malformed workspaces exit 2 with a message naming the fault."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_drop(_workspace(M=_model()), "agents"), "agents: missing"),
+        (_drop(_workspace(M=_model()), "models", "M", "worlds"),
+         "models.M.worlds: missing"),
+        (_drop(_workspace(M=_model()), "models", "M", "relations"),
+         "models.M.relations: missing"),
+        (_workspace(M=_model(worlds=[{"id": "w1"}, {"val": []}])),
+         "models.M.worlds[1].id: missing"),
+        (_workspace(M=_model(worlds=[{"id": "w1", "val": "p_a"}, {"id": "w2"}])),
+         "models.M.worlds[0].val: expected a list"),
+        (_workspace(M=_model(worlds=[{"id": "w1", "val": [1]}, {"id": "w2"}])),
+         "models.M.worlds[0].val[0]: expected a string"),
+        ({**_workspace(), "patterns": {"P": ["{a->b}", 7]}},
+         "patterns.P[1]: expected a string"),
+        (_workspace(M=_model(a=[["w1", "zz"], ["w2"]])),
+         "relation of agent a names unknown world 'zz'"),
+        (_workspace(M=_model(a=[["w1"], ["w2"], []])),
+         "empty block in relation of agent a"),
+        (_workspace(M=_model(a=[["w1", "w2"], ["w2"]])),
+         "overlapping blocks in relation of agent a"),
+    ])
+    def test_exits_two(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--workspace", str(path), "dot", "M")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_well_formed_sample_loads(self, capsys, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(_workspace(M=_model())))
+        code, out, _ = run(capsys, "--workspace", str(path), "dot", "M")
+        assert code == 0 and out.startswith("graph model {")

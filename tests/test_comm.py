@@ -27,6 +27,12 @@ class TestGraphs:
         assert receivers_from(rab, "a") == {"a"}
         assert receivers_from(identity_graph(AB), "a") == {"a"}
         assert receivers_from(universal_graph(AB), "a") == {"a", "b"}
+        for g in enumerate_graphs(("a", "b", "c")):
+            for a in g.agents:
+                assert g.heard[a] == {s for s, r in g.edges if r == a}
+                assert receivers_from(g, a) == g.heard[a]
+            with pytest.raises(ValueError, match="unknown agent z"):
+                receivers_from(g, "z")
 
     def test_reflexivity_enforced(self):
         with pytest.raises(ValueError, match="not reflexive"):

@@ -76,6 +76,29 @@ class TestLocality:
             {"u": {P_A}, "v": set()}, check_locality=False)
         assert not is_local(m)
 
+    def test_is_local_agrees_with_construction(self):
+        # coarsen seeded local models by merging two blocks of one agent;
+        # is_local must be False exactly when the checked constructor refuses
+        rng = random.Random(20261018)
+        refused = 0
+        for _ in range(120):
+            m = random_local_model(rng)
+            relations = {a: list(m.relations[a]) for a in m.agents}
+            a = rng.choice(m.agents)
+            if len(relations[a]) > 1:
+                i, j = sorted(rng.sample(range(len(relations[a])), 2))
+                relations[a][i] |= relations[a].pop(j)
+            unchecked = EpistemicModel(m.worlds, relations, m.valuation,
+                                       agents=m.agents, check_locality=False)
+            try:
+                EpistemicModel(m.worlds, relations, m.valuation, agents=m.agents)
+            except LocalityError:
+                refused += 1
+                assert not is_local(unchecked)
+            else:
+                assert is_local(unchecked)
+        assert 0 < refused < 120
+
     def test_construction_rejects_with_diagnostic(self):
         with pytest.raises(LocalityError, match="agent a"):
             EpistemicModel(
@@ -169,6 +192,17 @@ class TestModelBasics:
             EpistemicModel(["u", "v"], {"a": [["u"]]}, {})
         with pytest.raises(ValueError):
             EpistemicModel(["u", "v"], {"a": [["u", "v"], ["v"]]}, {})
+        # each fault names the agent, and is found before the blocks are sorted
+        for worlds, blocks, message in [
+            (["w"], [["w", "zz"]], "relation of agent a names unknown world 'zz'"),
+            (["w"], [["w"], []], "empty block in relation of agent a"),
+            (["w"], [[], ["w"]], "empty block in relation of agent a"),
+            (["u", "v"], [["u", "v"], ["v"]], "overlapping blocks in relation of agent a"),
+            (["u", "v"], [["u"]], "relation of agent a does not cover all worlds"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                EpistemicModel(worlds, {"a": blocks, "b": [worlds]}, {})
+            assert str(exc.value) == message
 
     def test_unknown_atom_owner_rejected(self):
         with pytest.raises(UnknownNameError):

@@ -1,13 +1,15 @@
 import random
+import sys
 
 import pytest
 
 from epiupdate import (
     Conj, DKnow, FormulaSyntaxError, Neg, PatternBox, Top, Var, dual_knows,
-    format_formula, knows, parse_formula,
+    format_formula, knows, parse_formula, satisfies,
 )
-from epiupdate.fixtures import P_A, P_B
+from epiupdate.fixtures import P_A, P_B, sq_model
 from epiupdate.history import HistoryVariable
+from epiupdate.parser import MAX_NESTING
 from epiupdate.workspace import default_workspace
 
 from genlib import random_static_formula
@@ -107,6 +109,21 @@ class TestErrors:
     def test_unknown_action(self, ws):
         with pytest.raises(FormulaSyntaxError, match="no action"):
             ws.parse("[skip.jump] p_a")
+
+    @pytest.mark.parametrize("prefix, suffix", [
+        ("~", ""), ("hK a ", ""), ("hD{a,b} ", ""), ("(p_b -> ", ")"),
+        ("(", " -> p_b)"),
+    ])
+    def test_formula_at_nesting_limit(self, ws, prefix, suffix):
+        # the deepest accepted formulas still evaluate and print under
+        # Python's default recursion limit
+        assert sys.getrecursionlimit() == 1000
+        text = prefix * MAX_NESTING + "p_a" + suffix * MAX_NESTING
+        f = ws.parse(text)
+        satisfies(sq_model(), "11", f)
+        assert format_formula(f)
+        with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING}"):
+            ws.parse("~" + text)
 
 
 class TestRoundTrip:

@@ -144,3 +144,21 @@ class TestDotExport:
         assert out == action_model_dot(u)
         assert '"(I,{p_a})" [label="(I,{p_a})\\npre: p_a"];' in out
         assert out.count("--") == 3
+        assert out == (
+            'graph actions {\n'
+            '  node [shape=ellipse];\n'
+            '  "(I,{p_a})" [label="(I,{p_a})\\npre: p_a"];\n'
+            '  "(I,{})" [label="(I,{})\\npre: ~p_a"];\n'
+            '  "(Rab,{p_a})" [label="(Rab,{p_a})\\npre: p_a"];\n'
+            '  "(Rab,{})" [label="(Rab,{})\\npre: ~p_a"];\n'
+            '  "(I,{p_a})" -- "(I,{})" [label="b"];\n'
+            '  "(I,{p_a})" -- "(Rab,{p_a})" [label="a"];\n'
+            '  "(I,{})" -- "(Rab,{})" [label="a"];\n'
+            '}\n')
+
+    def test_action_box_prints_induced_action(self):
+        from epiupdate import ActionBox, Var, format_formula, induced_action_model
+        from epiupdate.fixtures import P_A, P_B
+        u = induced_action_model(byz_pattern(), [P_A])
+        fired = next(e for e in u.actions if e[0].name == "I" and e[1])
+        assert format_formula(ActionBox(u, fired, Var(P_B))) == "[U(Byz).(I,{p_a})] p_b"
