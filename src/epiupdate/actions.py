@@ -13,31 +13,37 @@ from dataclasses import dataclass
 from .comm import CommPattern
 from .errors import EpiupdateError
 from .formulas import Conj, Formula, ActionBox, description, has_dynamic
-from .models import EpistemicModel, _Partitioned, atom_key, ensure_capacity
+from .models import EpistemicModel, _Partitioned, atom_key, ensure_capacity, partition_by
 
 
 class ActionModel(_Partitioned):
     """Actions, one partition per agent, and a precondition per action.
 
     Preconditions of hand-authored models must be free of dynamic
-    modalities; models produced by :func:`compose` carry modalities in
-    their preconditions and are constructed with ``allow_dynamic_pre``.
-    Instances compare by identity.
+    modalities; :func:`compose` puts modalities in its preconditions and
+    builds its models through the trusted path.  Instances compare by
+    identity.
     """
 
-    def __init__(self, actions, relations, pre, agents=None, name=None,
-                 atoms=None, allow_dynamic_pre=False):
-        acts = self.actions = self._init_partitions(actions, relations, agents, "action")
-        self.action_set = frozenset(acts)
-        self.pre = {e: pre[e] for e in acts}
-        self.name = name
-        self.atoms = tuple(sorted(atoms, key=atom_key)) if atoms is not None else None
+    def __init__(self, actions, relations, pre, agents=None, name=None):
+        actions, relations, agents = self._validated(actions, relations, agents, "action")
+        pre = {e: pre[e] for e in actions}
+        for e in actions:
+            if has_dynamic(pre[e]):
+                raise ValueError(
+                    f"precondition of action {e!r} contains a dynamic modality")
+        self._assign(actions, relations, pre, agents, name)
 
-        if not allow_dynamic_pre:
-            for e in acts:
-                if has_dynamic(self.pre[e]):
-                    raise ValueError(
-                        f"precondition of action {e!r} contains a dynamic modality")
+    def _assign(self, actions: tuple, relations: dict, pre: dict, agents: tuple,
+                name=None):
+        """The trusted path: ``relations`` in the form of
+        :func:`~epiupdate.models.partition_by`, ``pre`` in action order,
+        ``agents`` sorted."""
+        self._assign_partitions(actions, relations, agents)
+        self.actions = actions
+        self.action_set = frozenset(actions)
+        self.pre = pre
+        self.name = name
 
     def __len__(self):
         return len(self.actions)
@@ -74,26 +80,25 @@ def action_update(model: EpistemicModel, action_model: ActionModel) -> Epistemic
         raise ValueError("action model and model must share one agent set")
     ensure_capacity(len(model.worlds) * len(action_model.actions))
 
-    worlds = [(v, e)
-              for v in model.worlds
-              for e in action_model.actions
-              if _sat(model, v, action_model.pre[e])]
+    worlds = tuple((v, e)
+                   for v in model.worlds
+                   for e in action_model.actions
+                   if _sat(model, v, action_model.pre[e]))
     valuation = {(v, e): model.valuation[v] for (v, e) in worlds}
 
     relations = {}
     for a in model.agents:
         wmap = model.block_map(a)
         emap = action_model.block_map(a)
-        cells: dict[tuple, list] = {}
-        for v, e in worlds:
-            cells.setdefault((wmap[v], emap[e]), []).append((v, e))
-        relations[a] = [frozenset(c) for c in cells.values()]
-
-    return EpistemicModel(worlds, relations, valuation, agents=model.agents)
+        relations[a] = partition_by(worlds, lambda ve: (wmap[ve[0]], emap[ve[1]]))
+    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
 
 
-def induced_action_model(pattern: CommPattern, atoms,
-                         max_actions: int = 1 << 20) -> ActionModel:
+# larger induced models are applied lazily (apply_induced, induced_chain)
+MAX_INDUCED_ACTIONS = 1 << 20
+
+
+def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
     """The action model mirroring a communication pattern over a finite atom set.
 
     Actions are (graph, valuation) pairs with the full description of the
@@ -104,30 +109,25 @@ def induced_action_model(pattern: CommPattern, atoms,
     atom_list = tuple(sorted(set(atoms), key=atom_key))
     n = len(atom_list)
     total = len(pattern.graphs) * (2 ** n)
-    if total > max_actions:
+    if total > MAX_INDUCED_ACTIONS:
         raise EpiupdateError(
             f"induced action model would have {total} actions "
-            f"(cap {max_actions}); apply it lazily instead of materializing")
+            f"(cap {MAX_INDUCED_ACTIONS}); apply it lazily instead of materializing")
 
-    subsets = []
-    for bits in range(2 ** n):
-        subsets.append(frozenset(atom_list[i] for i in range(n) if bits >> i & 1))
-
-    actions = [(g, q) for g in pattern.graphs for q in subsets]
+    subsets = [frozenset(atom_list[i] for i in range(n) if bits >> i & 1)
+               for bits in range(2 ** n)]
+    actions = tuple((g, q) for g in pattern.graphs for q in subsets)
     pre = {(g, q): description(q, atom_list) for (g, q) in actions}
-
-    relations = {}
-    for a in pattern.agents:
-        cells: dict[tuple, list] = {}
-        for g, q in actions:
-            senders = g.heard[a]
-            heard_val = frozenset(p for p in q if p.owner in senders)
-            cells.setdefault((senders, heard_val), []).append((g, q))
-        relations[a] = [frozenset(c) for c in cells.values()]
-
+    agents = tuple(sorted(pattern.agents))
+    relations = {a: partition_by(actions, lambda gq: _heard_key(a, *gq)) for a in agents}
     label = f"U({pattern.name})" if pattern.name else None
-    return ActionModel(actions, relations, pre, agents=pattern.agents,
-                       name=label, atoms=atom_list)
+    return ActionModel._trusted(actions, relations, pre, agents, label)
+
+
+def _heard_key(agent, graph, fired):
+    """What ``agent`` receives in an induced action: its senders and their atoms."""
+    senders = graph.heard[agent]
+    return senders, frozenset(p for p in fired if p.owner in senders)
 
 
 def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> EpistemicModel:
@@ -144,20 +144,14 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
     fired = {v: model.valuation[v] & atom_set for v in model.worlds}
-    worlds = [(v, (g, fired[v])) for v in model.worlds for g in pattern.graphs]
+    worlds = tuple((v, (g, fired[v])) for v in model.worlds for g in pattern.graphs)
     valuation = {(v, act): model.valuation[v] for (v, act) in worlds}
 
     relations = {}
     for a in model.agents:
         wmap = model.block_map(a)
-        cells: dict[tuple, list] = {}
-        for v, (g, q) in worlds:
-            senders = g.heard[a]
-            heard_val = frozenset(p for p in q if p.owner in senders)
-            cells.setdefault((wmap[v], senders, heard_val), []).append((v, (g, q)))
-        relations[a] = [frozenset(c) for c in cells.values()]
-
-    return EpistemicModel(worlds, relations, valuation, agents=model.agents)
+        relations[a] = partition_by(worlds, lambda va: (wmap[va[0]], *_heard_key(a, *va[1])))
+    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
 
 
 def compose(first: ActionModel, second: ActionModel) -> ActionModel:
@@ -170,19 +164,15 @@ def compose(first: ActionModel, second: ActionModel) -> ActionModel:
     """
     if first.agents != second.agents:
         raise ValueError("composed action models must share one agent set")
-    actions = [(e, f) for e in first.actions for f in second.actions]
+    actions = tuple((e, f) for e in first.actions for f in second.actions)
     pre = {(e, f): Conj(first.pre[e], ActionBox(first, e, second.pre[f]))
            for (e, f) in actions}
     relations = {}
     for a in first.agents:
         emap = first.block_map(a)
         fmap = second.block_map(a)
-        cells: dict[tuple, list] = {}
-        for e, f in actions:
-            cells.setdefault((emap[e], fmap[f]), []).append((e, f))
-        relations[a] = [frozenset(c) for c in cells.values()]
-    return ActionModel(actions, relations, pre, agents=first.agents,
-                       allow_dynamic_pre=True)
+        relations[a] = partition_by(actions, lambda ef: (emap[ef[0]], fmap[ef[1]]))
+    return ActionModel._trusted(actions, relations, pre, first.agents)
 
 
 def skip_model(agents, name="skip") -> ActionModel:
@@ -218,6 +208,5 @@ def model_as_action_model(model: EpistemicModel, atoms, name=None) -> ActionMode
     atom_list = tuple(sorted(set(atoms), key=atom_key))
     pre = {w: description(model.valuation[w] & frozenset(atom_list), atom_list)
            for w in model.worlds}
-    relations = {a: [set(b) for b in model.relations[a]] for a in model.agents}
-    return ActionModel(model.worlds, relations, pre, agents=model.agents,
-                       name=name, atoms=atom_list)
+    return ActionModel._trusted(model.worlds, dict(model.relations), pre,
+                                model.agents, name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .models import EpistemicModel
+from .models import EpistemicModel, partition_by
 
 
 @dataclass
@@ -113,10 +113,7 @@ def _refine(models, max_rounds=None, watch=None):
 def max_collective_bisimulation(model: EpistemicModel) -> tuple:
     """Coarsest auto-bisimulation of a model, blocks in order of first world."""
     labels, _ = _refine([model])
-    cells: dict[int, list] = {}
-    for w, label in zip(model.worlds, labels):
-        cells.setdefault(label, []).append(w)
-    return tuple(frozenset(c) for c in cells.values())
+    return partition_by(model.worlds, lambda w: labels[model._index[w]])
 
 
 def pointed_classes(points) -> list:
@@ -184,22 +181,17 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     if model.is_empty:
         return model
     blocks = max_collective_bisimulation(model)
-    rep = {}
-    rep_of_world = {}
-    for blk in blocks:
-        r = min(blk, key=lambda w: model._index[w])
-        rep[blk] = r
-        for w in blk:
-            rep_of_world[w] = r
-
-    worlds = [rep[blk] for blk in blocks]
+    worlds = tuple(min(blk, key=model._index.__getitem__) for blk in blocks)
+    rep_of_world = {w: r for r, blk in zip(worlds, blocks) for w in blk}
     valuation = {r: model.valuation[r] for r in worlds}
     relations = {}
     for a in model.agents:
-        new_blocks = {frozenset(rep_of_world[w] for w in blk)
-                      for blk in model.relations[a]}
-        relations[a] = list(new_blocks)
-    return EpistemicModel(worlds, relations, valuation, agents=model.agents)
+        # a quotient block is the image of an agent block; bisimilar worlds
+        # see the same classes, so two images are equal or disjoint
+        bm = model.block_map(a)
+        images = [frozenset(rep_of_world[w] for w in blk) for blk in model.relations[a]]
+        relations[a] = partition_by(worlds, lambda r: images[bm[r]])
+    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
 
 
 def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:

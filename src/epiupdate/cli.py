@@ -22,7 +22,7 @@ from .models import world_name
 from .search import ActionUpdate, PatternUpdate
 from .semantics import satisfies, valid_on
 from .workspace import (
-    Workspace, action_model_to_json, default_workspace, load_workspace,
+    Workspace, action_model_to_json, apply_step, default_workspace, load_workspace,
     model_to_json, resolve_model_expr,
 )
 from .models import PointedModel
@@ -33,8 +33,8 @@ class _Step(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         steps = getattr(namespace, "steps", None) or []
-        kind = "pattern" if option_string == "--with" else "action"
-        steps.append((kind, values))
+        op = "odot" if option_string == "--with" else "otimes"
+        steps.append((op, values))
         namespace.steps = steps
 
 
@@ -122,28 +122,18 @@ def cmd_update(ws: Workspace, args) -> int:
     current = ws.models[args.model]
     if args.history:
         h = history_start(current)
-        for kind, name in steps:
-            if kind != "pattern":
+        for op, name in steps:
+            if op != "odot":
                 raise EpiupdateError("--history pipelines accept pattern steps only")
             if name not in ws.patterns:
                 raise EpiupdateError(f"unknown pattern {name!r}")
             h = history_update(h, ws.patterns[name])
         current = h.model
     else:
-        from .actions import action_update
-        from .comm import pattern_update
-        for kind, name in steps:
-            if kind == "pattern":
-                if name not in ws.patterns:
-                    raise EpiupdateError(f"unknown pattern {name!r}")
-                current = pattern_update(current, ws.patterns[name])
-            else:
-                if name not in ws.action_models:
-                    raise EpiupdateError(f"unknown action model {name!r}")
-                current = action_update(current, ws.action_models[name])
-                if current.is_empty:
-                    raise EpiupdateError(
-                        f"update with {name!r} produced an empty model")
+        for op, name in steps:
+            current = apply_step(ws, current, op, name)
+            if op == "otimes" and current.is_empty:
+                raise EpiupdateError(f"update with {name!r} produced an empty model")
     _emit(json.dumps(model_to_json(current), indent=2) + "\n", args.output)
     return 0
 
@@ -236,17 +226,6 @@ def _parse_target(ws: Workspace, spec: str):
         raise EpiupdateError(
             "target must be announce:FORMULA, whether:FORMULA, action:NAME "
             "or pattern:NAME[:GRAPH]")
-    if kind == "announce":
-        u = announce(ws.parse(rest), ws.agents)
-        return ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
-    if kind == "whether":
-        u = whether_announce(ws.parse(rest), ws.agents)
-        return ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
-    if kind == "action":
-        if rest not in ws.action_models:
-            raise EpiupdateError(f"unknown action model {rest!r}")
-        u = ws.action_models[rest]
-        return ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
     if kind == "pattern":
         pname, _, gname = rest.partition(":")
         if pname not in ws.patterns:
@@ -254,7 +233,17 @@ def _parse_target(ws: Workspace, spec: str):
         pattern = ws.patterns[pname]
         graph = pattern.graph_named(gname) if gname else None
         return PatternUpdate(pattern, graph)
-    raise EpiupdateError(f"unknown target kind {kind!r}")
+    if kind == "announce":
+        u = announce(ws.parse(rest), ws.agents)
+    elif kind == "whether":
+        u = whether_announce(ws.parse(rest), ws.agents)
+    elif kind == "action":
+        if rest not in ws.action_models:
+            raise EpiupdateError(f"unknown action model {rest!r}")
+        u = ws.action_models[rest]
+    else:
+        raise EpiupdateError(f"unknown target kind {kind!r}")
+    return ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
 
 
 def cmd_search(ws: Workspace, args) -> int:

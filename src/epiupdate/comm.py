@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EpiupdateError
-from .models import EpistemicModel, ensure_capacity, group_relation
+from .models import EpistemicModel, ensure_capacity, group_blocks, partition_by
 
 
 class CommGraph:
@@ -220,25 +220,12 @@ def pattern_update(model: EpistemicModel, pattern: CommPattern) -> EpistemicMode
         raise ValueError("pattern and model must share one agent set")
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
-    worlds = [(w, g) for w in model.worlds for g in pattern.graphs]
+    worlds = tuple((w, g) for w in model.worlds for g in pattern.graphs)
     valuation = {(w, g): model.valuation[w] for (w, g) in worlds}
 
     relations = {}
     for a in model.agents:
-        meet_maps = {}
-        cells = {}
-        for w, g in worlds:
-            senders = g.heard[a]
-            bm = meet_maps.get(senders)
-            if bm is None:
-                blocks = group_relation(model, senders)
-                bm = {}
-                for i, blk in enumerate(blocks):
-                    for v in blk:
-                        bm[v] = i
-                meet_maps[senders] = bm
-            cells.setdefault((senders, bm[w]), []).append((w, g))
-        relations[a] = [frozenset(c) for c in cells.values()]
-
-    # construction re-checks locality, which every pattern update must preserve
-    return EpistemicModel(worlds, relations, valuation, agents=model.agents)
+        heard = {g: g.heard[a] for g in pattern.graphs}
+        meets = {g: group_blocks(model, heard[g])[1] for g in pattern.graphs}
+        relations[a] = partition_by(worlds, lambda wg: (heard[wg[1]], meets[wg[1]][wg[0]]))
+    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)

@@ -27,7 +27,7 @@ from itertools import product
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
 from .formulas import ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
-from .models import EpistemicModel, group_relation
+from .models import EpistemicModel, group_blocks
 
 
 class View:
@@ -266,8 +266,7 @@ def _with_round_variables(plain: EpistemicModel, base: EpistemicModel,
             )
             var_cache[key] = added
         valuation[w] = plain.valuation[w] | added
-    return EpistemicModel(plain.worlds, plain.relations, valuation,
-                          agents=plain.agents)
+    return EpistemicModel._trusted(plain.worlds, plain.relations, valuation, plain.agents)
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -298,11 +297,8 @@ def _hsat(h: HistoryModel, point, f: Formula) -> bool:
     if isinstance(f, Conj):
         return _hsat(h, point, f.left) and _hsat(h, point, f.right)
     if isinstance(f, DKnow):
-        blocks = group_relation(h.model, f.group)
-        for blk in blocks:
-            if point in blk:
-                return all(_hsat(h, v, f.sub) for v in blk)
-        raise AssertionError("point not covered by group relation")
+        blocks, block_of = group_blocks(h.model, f.group)
+        return all(_hsat(h, v, f.sub) for v in blocks[block_of[point]])
     if isinstance(f, PatternBox):
         nxt = h._round_cache.get(f.pattern)
         if nxt is None:

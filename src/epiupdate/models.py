@@ -6,8 +6,20 @@ Models are immutable after construction; every operation here is a pure
 function of its inputs and results can be shared freely across tasks.
 
 Locality is enforced: two worlds an agent cannot tell apart must agree on
-all atoms owned by that agent.  Construction fails with a diagnostic when
-a supplied relation violates this.
+all atoms owned by that agent.
+
+Validation happens at the boundary only.  The public constructors, which
+user code and JSON loading call, check identifiers, partitions, atom
+owners and locality, and fail with a diagnostic.  Products built inside
+the package (pattern and action-model updates, induced models, history
+rounds, quotients, interpreted systems) take the trusted ``_trusted``
+path, which only sets fields.  They are valid by construction: their
+blocks come from :func:`partition_by`, so they partition the elements in
+first-element order; atoms and their owners come from valid inputs; and
+every product relates two worlds for an agent only when the agent could
+not tell their sources apart either, so a product of a local model is
+local.  The test suite rebuilds every product through the public
+constructors to check this.
 """
 from __future__ import annotations
 
@@ -73,33 +85,64 @@ def atom_key(atom) -> str:
     return str(atom)
 
 
+def partition_by(elements, key) -> tuple:
+    """The blocks of elements with equal ``key(x)``, as frozensets in order
+    of their first element: the block form the trusted path takes."""
+    cells: dict = {}
+    for x in elements:
+        cells.setdefault(key(x), []).append(x)
+    return tuple(frozenset(c) for c in cells.values())
+
+
+def _block_index(blocks) -> dict:
+    """element -> index of its block."""
+    return {x: i for i, blk in enumerate(blocks) for x in blk}
+
+
 class _Partitioned:
     """Elements (worlds or actions) with one partition of them per agent.
 
-    The shared core of epistemic and action models: it checks that each
-    agent's blocks partition the elements exactly, sorts the blocks by
-    their first element, and maps elements to block indices.
+    The shared core of epistemic and action models.  ``_validated`` checks
+    user input; ``_trusted`` builds an instance from fields that are valid
+    by construction.  Both end in the subclass's ``_assign``, which only
+    sets fields, so the public constructor is validation followed by the
+    trusted path.
     """
 
-    def _init_partitions(self, elements, relations, agents, noun: str) -> tuple:
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance from the fields ``_assign`` takes, without checks."""
+        self = cls.__new__(cls)
+        self._assign(*fields)
+        return self
+
+    @classmethod
+    def _validated(cls, elements, relations, agents, noun: str) -> tuple:
+        """``(elements, relations, agents)`` checked and in the trusted form:
+        a tuple, each agent's blocks as a tuple of frozensets in order of
+        first element, and the sorted agents."""
         elems = tuple(elements)
-        self._index = {x: i for i, x in enumerate(elems)}
-        if len(self._index) != len(elems):
+        index = {x: i for i, x in enumerate(elems)}
+        if len(index) != len(elems):
             raise ValueError(f"duplicate {noun} identifiers")
         if agents is None:
-            self.agents = tuple(sorted(relations))
+            agents = tuple(sorted(relations))
         else:
-            self.agents = tuple(sorted(agents))
-            if set(relations) != set(self.agents):
+            agents = tuple(sorted(agents))
+            if set(relations) != set(agents):
                 raise ValueError("relations must cover exactly the agent set")
-        self.relations = {a: self._sorted_blocks(a, relations[a], noun)
-                          for a in self.agents}
-        self._block_maps: dict[str, dict] = {}
-        return elems
+        blocks = {a: cls._sorted_blocks(a, relations[a], index, noun) for a in agents}
+        return elems, blocks, agents
 
-    def _sorted_blocks(self, agent, blocks, noun: str) -> tuple:
+    def _assign_partitions(self, elements: tuple, relations: dict, agents: tuple) -> None:
+        self._index = {x: i for i, x in enumerate(elements)}
+        self.relations = relations
+        self.agents = agents
+        self._block_maps: dict[str, dict] = {}
+
+    @staticmethod
+    def _sorted_blocks(agent, blocks, index: dict, noun: str) -> tuple:
         """Validate one agent's blocks, then sort them by first element."""
-        index = self._index
         seen = set()
         out = []
         for b in blocks:
@@ -122,11 +165,7 @@ class _Partitioned:
         """element -> index of its block in ``relations[agent]``."""
         m = self._block_maps.get(agent)
         if m is None:
-            m = {}
-            for i, blk in enumerate(self.relations[agent]):
-                for x in blk:
-                    m[x] = i
-            self._block_maps[agent] = m
+            m = self._block_maps[agent] = _block_index(self.relations[agent])
         return m
 
 
@@ -141,11 +180,28 @@ class EpistemicModel(_Partitioned):
 
     __hash__ = object.__hash__
 
-    def __init__(self, worlds, relations, valuation, agents=None, check_locality=True):
-        ws = self.worlds = self._init_partitions(worlds, relations, agents, "world")
-        if not self.agents:
+    def __init__(self, worlds, relations, valuation, agents=None):
+        worlds, relations, agents = self._validated(worlds, relations, agents, "world")
+        if not agents:
             raise ValueError("agent set must be nonempty")
-        self.valuation = {w: frozenset(valuation.get(w, ())) for w in ws}
+        valuation = {w: frozenset(valuation.get(w, ())) for w in worlds}
+        self._validate_owners(valuation, agents)
+        self._assign(worlds, relations, valuation, agents)
+        bad = _locality_violation(self)
+        if bad is not None:
+            a, first, w = bad
+            raise LocalityError(
+                f"worlds {world_name(first)} and {world_name(w)} are "
+                f"indistinguishable for agent {a} but disagree on "
+                f"{a}-owned atoms"
+            )
+
+    def _assign(self, worlds: tuple, relations: dict, valuation: dict, agents: tuple):
+        """The trusted path: ``relations`` in the form of :func:`partition_by`,
+        ``valuation`` a frozenset per world in world order, ``agents`` sorted."""
+        self._assign_partitions(worlds, relations, agents)
+        self.worlds = worlds
+        self.valuation = valuation
 
         # per-instance caches; values are deterministic, so a racy double
         # computation is harmless
@@ -155,22 +211,12 @@ class EpistemicModel(_Partitioned):
         self._locals_cache: dict = {}
         self._name_map = None
 
-        self._validate_owners()
-        if check_locality:
-            bad = _locality_violation(self)
-            if bad is not None:
-                a, first, w = bad
-                raise LocalityError(
-                    f"worlds {world_name(first)} and {world_name(w)} are "
-                    f"indistinguishable for agent {a} but disagree on "
-                    f"{a}-owned atoms"
-                )
-
     # -- validation ------------------------------------------------------
 
-    def _validate_owners(self):
-        ags = set(self.agents)
-        for w, val in self.valuation.items():
+    @staticmethod
+    def _validate_owners(valuation: dict, agents: tuple):
+        ags = set(agents)
+        for w, val in valuation.items():
             for p in val:
                 if p.owner not in ags:
                     raise UnknownNameError(
@@ -248,10 +294,15 @@ def _component_name(x) -> str:
     name = getattr(x, "name", None)
     if isinstance(name, str):
         return name
-    if isinstance(x, tuple) and len(x) == 2 and hasattr(x[0], "name"):
-        graph, values = x
-        vals = ",".join(sorted(str(p) for p in values))
-        return f"({graph.name},{{{vals}}})"
+    if isinstance(x, tuple) and len(x) == 2:
+        if hasattr(x[0], "name"):
+            graph, values = x
+            vals = ",".join(sorted(str(p) for p in values))
+            return f"({graph.name},{{{vals}}})"
+        # a composed action or a product world: the tuple's repr, with nested
+        # pairs rendered here so that no valuation prints in hash order
+        parts = (_component_name(c) if isinstance(c, tuple) else repr(c) for c in x)
+        return "(" + ", ".join(parts) + ")"
     return str(x)
 
 
@@ -283,39 +334,37 @@ def is_interpreted_system(model: EpistemicModel) -> bool:
     own-atom valuations force indistinguishability.
     """
     empty = frozenset()
-    for a in model.agents:
-        grouped: dict[frozenset, set] = {}
-        for w in model.worlds:
-            grouped.setdefault(model.locals_at(w).get(a, empty), set()).add(w)
-        induced = {frozenset(g) for g in grouped.values()}
-        if induced != set(model.relations[a]):
-            return False
-    return True
+    return all(
+        partition_by(model.worlds, lambda w: model.locals_at(w).get(a, empty))
+        == model.relations[a]
+        for a in model.agents)
 
 
 def group_relation(model: EpistemicModel, group) -> tuple:
     """The partition for a nonempty agent group: the meet of the members' partitions."""
+    return group_blocks(model, group)[0]
+
+
+def group_blocks(model: EpistemicModel, group) -> tuple:
+    """``(blocks, block_of)``: the group relation and the map from each
+    world to the index of its block, computed once per model and group."""
     b = frozenset(group)
     if not b:
         raise ValueError("agent group must be nonempty")
     unknown = b - set(model.agents)
     if unknown:
         raise UnknownNameError(f"unknown agents in group: {sorted(unknown)}")
-    cached = model._group_cache.get(b)
-    if cached is not None:
-        return cached
-    members = sorted(b)
-    if len(members) == 1:
-        result = model.relations[members[0]]
-    else:
-        maps = [model.block_map(a) for a in members]
-        cells: dict[tuple, list] = {}
-        for w in model.worlds:
-            cells.setdefault(tuple(m[w] for m in maps), []).append(w)
-        # cells open in world order, so they are already sorted by first world
-        result = tuple(frozenset(c) for c in cells.values())
-    model._group_cache[b] = result
-    return result
+    hit = model._group_cache.get(b)
+    if hit is None:
+        members = sorted(b)
+        if len(members) == 1:
+            hit = (model.relations[members[0]], model.block_map(members[0]))
+        else:
+            maps = [model.block_map(a) for a in members]
+            blocks = partition_by(model.worlds, lambda w: tuple(m[w] for m in maps))
+            hit = (blocks, _block_index(blocks))
+        model._group_cache[b] = hit
+    return hit
 
 
 def full_interpreted_system(atoms, agents=()) -> EpistemicModel:
@@ -326,24 +375,17 @@ def full_interpreted_system(atoms, agents=()) -> EpistemicModel:
     indistinguishable for an agent iff they agree on the agent's atoms.
     """
     atoms = sorted(set(atoms), key=atom_key)
-    ags = sorted(set(agents) | {p.owner for p in atoms})
+    ags = tuple(sorted(set(agents) | {p.owner for p in atoms}))
     if not ags:
         raise ValueError("no agents: pass agents= when the atom set is empty")
     n = len(atoms)
     ensure_capacity(2 ** n)
 
-    worlds = []
-    valuation = {}
-    for bits in range(2 ** n):
-        name = format(bits, f"0{n}b") if n else "w"
-        worlds.append(name)
-        valuation[name] = frozenset(atoms[i] for i in range(n) if name[i] == "1")
-
-    relations = {}
-    for a in ags:
-        cells: dict[frozenset, list] = {}
-        for w in worlds:
-            local = frozenset(p for p in valuation[w] if p.owner == a)
-            cells.setdefault(local, []).append(w)
-        relations[a] = [frozenset(c) for c in cells.values()]
-    return EpistemicModel(worlds, relations, valuation, agents=ags)
+    worlds = tuple(format(bits, f"0{n}b") if n else "w" for bits in range(2 ** n))
+    valuation = {w: frozenset(atoms[i] for i in range(n) if w[i] == "1")
+                 for w in worlds}
+    relations = {
+        a: partition_by(worlds, lambda w: frozenset(p for p in valuation[w]
+                                                    if p.owner == a))
+        for a in ags}
+    return EpistemicModel._trusted(worlds, relations, valuation, ags)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .comm import CommPattern, pattern_update
 from .formulas import ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
 from .history import atom_holds
-from .models import EpistemicModel, group_relation
+from .models import EpistemicModel, group_blocks
 
 
 def pattern_product(model: EpistemicModel, pattern: CommPattern) -> EpistemicModel:
@@ -48,11 +48,8 @@ def _sat(model, world, f) -> bool:
     if isinstance(f, Conj):
         return _sat(model, world, f.left) and _sat(model, world, f.right)
     if isinstance(f, DKnow):
-        blocks = group_relation(model, f.group)
-        for blk in blocks:
-            if world in blk:
-                return all(_sat(model, v, f.sub) for v in blk)
-        raise AssertionError("world not covered by group relation")
+        blocks, block_of = group_blocks(model, f.group)
+        return all(_sat(model, v, f.sub) for v in blocks[block_of[world]])
     if isinstance(f, PatternBox):
         updated = pattern_product(model, f.pattern)
         return _sat(updated, (world, f.graph), f.sub)

@@ -232,8 +232,6 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
     NAME over the workspace atoms.
     """
     from .actions import induced_action_model
-    from .comm import pattern_update
-    from .actions import action_update
 
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -259,14 +257,22 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
         if op not in ("odot", "otimes"):
             raise UnknownNameError(f"expected 'odot' or 'otimes', found {op!r}")
         operand, i = take_operand(i + 1)
-        if op == "odot":
-            if not isinstance(operand, str) or operand not in ws.patterns:
-                raise UnknownNameError(f"unknown pattern {operand!r}")
-            current = pattern_update(current, ws.patterns[operand])
-        else:
-            if isinstance(operand, str):
-                if operand not in ws.action_models:
-                    raise UnknownNameError(f"unknown action model {operand!r}")
-                operand = ws.action_models[operand]
-            current = action_update(current, operand)
+        current = apply_step(ws, current, op, operand)
     return current
+
+
+def apply_step(ws: Workspace, model: EpistemicModel, op: str, operand) -> EpistemicModel:
+    """One update step: ``odot`` a pattern name, ``otimes`` an action model
+    or the name of one."""
+    from .actions import action_update
+    from .comm import pattern_update
+
+    if op == "odot":
+        if not isinstance(operand, str) or operand not in ws.patterns:
+            raise UnknownNameError(f"unknown pattern {operand!r}")
+        return pattern_update(model, ws.patterns[operand])
+    if isinstance(operand, str):
+        if operand not in ws.action_models:
+            raise UnknownNameError(f"unknown action model {operand!r}")
+        operand = ws.action_models[operand]
+    return action_update(model, operand)

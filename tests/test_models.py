@@ -4,13 +4,17 @@ from itertools import combinations
 import pytest
 
 from epiupdate import (
-    Atom, EpistemicModel, LocalityError, ModelCapError, PointedModel,
-    UnknownNameError, full_interpreted_system, group_relation,
-    is_interpreted_system, is_local, pattern_update, world_name,
+    ActionModel, Atom, EpistemicModel, LocalityError, ModelCapError,
+    PointedModel, UnknownNameError, Var, action_update, apply_induced, compose,
+    full_interpreted_system, group_relation, history_start, history_update,
+    induced_action_model, induced_chain, is_interpreted_system, is_local,
+    minimize, model_as_action_model, pattern_update, skip_model,
+    whether_announce, world_name,
 )
 from epiupdate.fixtures import byz_initial_model, byz_pattern, sq_model, P_A, P_B, Q_A
+from epiupdate.formulas import TRUE
 
-from genlib import random_local_model
+from genlib import model_atoms, random_interpreted_system, random_local_model, random_pattern
 
 R_B = Atom("r", "b")
 
@@ -71,9 +75,9 @@ class TestLocality:
         assert is_local(byz_initial_model())
 
     def test_violation_detected(self):
-        m = EpistemicModel(
-            ["u", "v"], {"a": [["u", "v"]], "b": [["u", "v"]]},
-            {"u": {P_A}, "v": set()}, check_locality=False)
+        uv = (frozenset({"u", "v"}),)
+        m = EpistemicModel._trusted(("u", "v"), {"a": uv, "b": uv},
+                                    {"u": frozenset({P_A}), "v": frozenset()}, ("a", "b"))
         assert not is_local(m)
 
     def test_is_local_agrees_with_construction(self):
@@ -88,8 +92,8 @@ class TestLocality:
             if len(relations[a]) > 1:
                 i, j = sorted(rng.sample(range(len(relations[a])), 2))
                 relations[a][i] |= relations[a].pop(j)
-            unchecked = EpistemicModel(m.worlds, relations, m.valuation,
-                                       agents=m.agents, check_locality=False)
+            unchecked = EpistemicModel._trusted(
+                m.worlds, {b: tuple(relations[b]) for b in m.agents}, m.valuation, m.agents)
             try:
                 EpistemicModel(m.worlds, relations, m.valuation, agents=m.agents)
             except LocalityError:
@@ -226,3 +230,43 @@ class TestModelBasics:
         assert m.world_named("w1.Rab") in m.worlds
         with pytest.raises(UnknownNameError):
             m.world_named("nope")
+
+
+class TestTrustedProducts:
+    """Builders skip validation; the validating constructors must accept
+    their output and rebuild it unchanged (partition, block order, atom
+    owners, locality)."""
+
+    def assert_rebuilds(self, m):
+        again = EpistemicModel(m.worlds, m.relations, m.valuation, agents=m.agents)
+        assert again.worlds == m.worlds
+        assert list(again.relations.items()) == list(m.relations.items())
+        assert list(again.valuation.items()) == list(m.valuation.items())
+
+    def assert_actions_rebuild(self, u, pre=None):
+        pre = u.pre if pre is None else pre
+        again = ActionModel(u.actions, u.relations, pre, agents=u.agents)
+        assert again.actions == u.actions
+        assert list(again.relations.items()) == list(u.relations.items())
+
+    def test_products_pass_validation(self):
+        rng = random.Random(20261019)
+        for i in range(40):
+            m = random_local_model(rng) if i % 2 else random_interpreted_system(rng)
+            p = random_pattern(rng, m.agents, max_graphs=4)
+            atoms = model_atoms(m)
+            u = induced_action_model(p, atoms[:3])
+            v = whether_announce(Var(atoms[0]), m.agents) if atoms else skip_model(m.agents)
+            once = pattern_update(m, p)
+            h = history_update(history_update(history_start(m), p), p)
+            for product in [once, minimize(once), minimize(m), h.model,
+                            apply_induced(m, p, atoms), action_update(m, u),
+                            induced_chain(m, [p], atoms), induced_chain(m, [p, p], atoms),
+                            full_interpreted_system(atoms, agents=m.agents),
+                            action_update(m, compose(u, v))]:
+                self.assert_rebuilds(product)
+            for um in [u, model_as_action_model(once, atoms)]:
+                self.assert_actions_rebuild(um)
+            # composed preconditions are dynamic, which user input may not be
+            c = compose(u, v)
+            self.assert_actions_rebuild(c, pre=dict.fromkeys(c.actions, TRUE))

@@ -202,7 +202,7 @@ class TestCircularChain:
         m = EpistemicModel(
             ["1", "2", "3", "4"],
             {"a": [["1", "2"], ["3", "4"]], "b": [["1", "2"], ["3", "4"]]},
-            {}, agents=AB, check_locality=False)
+            {}, agents=AB)
         assert not check_circular_chain(m)
 
     def test_requires_two_agents(self):

@@ -162,3 +162,27 @@ class TestDotExport:
         u = induced_action_model(byz_pattern(), [P_A])
         fired = next(e for e in u.actions if e[0].name == "I" and e[1])
         assert format_formula(ActionBox(u, fired, Var(P_B))) == "[U(Byz).(I,{p_a})] p_b"
+
+    def test_composed_actions_print_alike_under_any_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import epiupdate
+        script = (
+            "import json\n"
+            "from epiupdate import compose, induced_action_model\n"
+            "from epiupdate.dot import action_model_dot\n"
+            "from epiupdate.fixtures import P_A, P_B, immediate_snapshot, skip\n"
+            "from epiupdate.workspace import action_model_to_json\n"
+            "c = compose(induced_action_model(immediate_snapshot(), [P_A, P_B]), skip())\n"
+            "print(json.dumps(action_model_to_json(c)))\n"
+            "print(action_model_dot(c))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        outs = [subprocess.run([sys.executable, "-c", script], check=True,
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                               ).stdout
+                for seed in ("0", "2")]
+        assert outs[0] == outs[1]
+        assert '"id": "((Rab,{p_a,p_b}), \'skip\')"' in outs[0]
