@@ -208,8 +208,7 @@ def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:
     if model.is_empty:
         return True
 
-    colours_m = _stable_colours(model)
-    colours_o = _stable_colours(other)
+    colours_m, colours_o = _stable_colours(model, other)
     if sorted(colours_m.values()) != sorted(colours_o.values()):
         return False
 
@@ -249,25 +248,29 @@ def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:
     return extend(0)
 
 
-def _stable_colours(model: EpistemicModel) -> dict:
-    val_key = {w: model.valuation[w] for w in model.worlds}
-    colour = {}
+def _stable_colours(model: EpistemicModel, other: EpistemicModel) -> list:
+    """Colour refinement of both models at once.  Each round numbers the
+    keys of both models from one table, so equal ids name equal keys."""
+    pair = (model, other)
     seen: dict[tuple, int] = {}
-    for w in model.worlds:
-        key = (val_key[w], tuple(len(model.block_of(a, w)) for a in model.agents))
-        colour[w] = seen.setdefault(key, len(seen))
+    colours = [{w: seen.setdefault((m.valuation[w],
+                                    tuple(len(m.block_of(a, w)) for a in m.agents)),
+                                   len(seen))
+                for w in m.worlds}
+               for m in pair]
     while True:
-        seen2: dict[tuple, int] = {}
-        new = {}
-        for w in model.worlds:
-            neigh = tuple(
-                frozenset((colour[v], sum(1 for u in model.block_of(a, w)
-                                          if colour[u] == colour[v]))
-                          for v in model.block_of(a, w))
-                for a in model.agents
-            )
-            key = (colour[w], neigh)
-            new[w] = seen2.setdefault(key, len(seen2))
-        if len(set(new.values())) == len(set(colour.values())):
+        n, seen = len(seen), {}
+        new = [{w: seen.setdefault((c[w], _neighbour_colours(m, c, w)), len(seen))
+                for w in m.worlds}
+               for m, c in zip(pair, colours)]
+        if len(seen) == n:
             return new
-        colour = new
+        colours = new
+
+
+def _neighbour_colours(model: EpistemicModel, colour: dict, w) -> tuple:
+    """Per agent, the colours in w's block, each with its multiplicity."""
+    return tuple(
+        frozenset((colour[v], sum(1 for u in model.block_of(a, w) if colour[u] == colour[v]))
+                  for v in model.block_of(a, w))
+        for a in model.agents)

@@ -16,16 +16,17 @@ from .bisim import bisimilar, isomorphic, minimize, models_bisimilar, n_bisimila
 from .dot import model_dot
 from .errors import EpiupdateError
 from .formulas import format_formula
-from .history import history_atoms_below, history_start, history_update
+from .history import history_atoms_below, history_start
 from .iunf import iunf_translate
-from .models import world_name
-from .search import ActionUpdate, PatternUpdate
+from .models import PointedModel, full_interpreted_system, world_name
+from .search import (
+    ActionUpdate, PatternUpdate, default_pattern_size_cap, pattern_verdicts, update_results,
+)
 from .semantics import satisfies, valid_on
 from .workspace import (
     Workspace, action_model_to_json, apply_step, default_workspace, load_workspace,
     model_to_json, resolve_model_expr,
 )
-from .models import PointedModel
 
 
 class _Step(argparse.Action):
@@ -121,19 +122,13 @@ def cmd_update(ws: Workspace, args) -> int:
         raise EpiupdateError(f"unknown model {args.model!r}")
     current = ws.models[args.model]
     if args.history:
-        h = history_start(current)
-        for op, name in steps:
-            if op != "odot":
-                raise EpiupdateError("--history pipelines accept pattern steps only")
-            if name not in ws.patterns:
-                raise EpiupdateError(f"unknown pattern {name!r}")
-            h = history_update(h, ws.patterns[name])
-        current = h.model
-    else:
-        for op, name in steps:
-            current = apply_step(ws, current, op, name)
-            if op == "otimes" and current.is_empty:
-                raise EpiupdateError(f"update with {name!r} produced an empty model")
+        current = history_start(current)
+    for op, name in steps:
+        if args.history and op != "odot":
+            raise EpiupdateError("--history pipelines accept pattern steps only")
+        current = apply_step(ws, current, op, name)
+        if op == "otimes" and current.is_empty:
+            raise EpiupdateError(f"update with {name!r} produced an empty model")
     _emit(json.dumps(model_to_json(current), indent=2) + "\n", args.output)
     return 0
 
@@ -201,7 +196,6 @@ def cmd_induce(ws: Workspace, args) -> int:
     if args.round < 1:
         raise EpiupdateError("--round must be at least 1")
     if args.round > 1:
-        from .models import full_interpreted_system
         base = full_interpreted_system(atoms, agents=ws.agents)
         atoms |= history_atoms_below([pattern] * (args.round - 1), base)
     model = induced_action_model(pattern, atoms)
@@ -247,9 +241,6 @@ def _parse_target(ws: Workspace, spec: str):
 
 
 def cmd_search(ws: Workspace, args) -> int:
-    from .search import candidate_patterns, default_pattern_size_cap, update_equivalent_on
-    from .search import update_results
-
     bases = []
     for ref in filter(None, (s.strip() for s in args.bases.split(","))):
         if ":" not in ref:
@@ -270,8 +261,7 @@ def cmd_search(ws: Workspace, args) -> int:
     print(f"bases:  {len(bases)}")
     print("pattern                      equivalent")
     found = None
-    for pattern in candidate_patterns(agents, cap):
-        ok = update_equivalent_on(bases, PatternUpdate(pattern), target)
+    for pattern, ok in pattern_verdicts(bases, target, cap):
         label = "{" + ", ".join(g.name for g in pattern.graphs) + "}"
         print(f"{label:28} {'yes' if ok else 'no'}")
         if ok and found is None:

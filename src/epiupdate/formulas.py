@@ -110,10 +110,6 @@ FALSE = Neg(TRUE)
 
 # -- sugar ----------------------------------------------------------------
 
-def neg(f: Formula) -> Formula:
-    return Neg(f)
-
-
 def conj(*parts: Formula) -> Formula:
     """Right-nested conjunction; empty conjunction is true."""
     if not parts:

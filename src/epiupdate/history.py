@@ -12,6 +12,11 @@ leaves, interpreted systems are closed under this update, which is the
 point of the whole construction: equal local valuations then pin down
 exactly the worlds an agent cannot distinguish.
 
+A :class:`HistoryModel` is an epistemic model whose pattern step is the
+history round.  There is no second evaluator: ``semantics.satisfies`` on
+a history model lets a pattern modality advance to the next round and
+rejects action-model modalities, which is the history-based semantics.
+
 Rendering follows the compact convention of the round examples: leaves
 are invisible, so a first-round view prints as the set of senders
 ("ab"), and later rounds nest with dots ("(a,ab).ab").  A view built
@@ -26,8 +31,7 @@ from itertools import product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
-from .formulas import ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
-from .models import EpistemicModel, group_blocks
+from .models import EpistemicModel
 
 
 class View:
@@ -199,26 +203,44 @@ def _initials_key(model: EpistemicModel, world) -> tuple:
     return tuple((a, grouped.get(a, empty)) for a in model.agents)
 
 
-class HistoryModel:
+class HistoryModel(EpistemicModel):
     """A model together with the rounds of communication that produced it.
 
-    ``model`` is an ordinary epistemic model whose valuations include the
-    accumulated history variables; worlds have shape (...((w, R1), R2)...)
-    for a base world w and one graph per round.
+    Its worlds, relations and valuation are those of ``model``, whose
+    valuations include the accumulated history variables; worlds have
+    shape (...((w, R1), R2)...) for a base world w and one graph per
+    round.  It differs from a plain model only in its update step: a
+    pattern steps to the next history round and an action model is
+    rejected, so ``satisfies`` on a history model is the history-based
+    semantics.
     """
 
     def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):
-        self.model = model
+        self._assign(model.worlds, model.relations, model.valuation, model.agents,
+                     base, rounds)
+
+    def _assign(self, worlds, relations, valuation, agents, base, rounds):
+        super()._assign(worlds, relations, valuation, agents)
         self.base = base
         self.rounds = tuple(rounds)
-        self._round_cache: dict[CommPattern, "HistoryModel"] = {}
+
+    @property
+    def model(self) -> "HistoryModel":
+        """The history model itself, which is an epistemic model."""
+        return self
 
     @property
     def round(self) -> int:
         return len(self.rounds)
 
     def __repr__(self):
-        return f"<HistoryModel round {self.round}, {len(self.model.worlds)} worlds>"
+        return f"<HistoryModel round {self.round}, {len(self.worlds)} worlds>"
+
+    def step(self, mechanism) -> "HistoryModel":
+        if isinstance(mechanism, CommPattern):
+            return history_update(self, mechanism)
+        raise EpiupdateError(
+            "action-model modalities are not interpreted in the history semantics")
 
 
 def history_start(model: EpistemicModel) -> HistoryModel:
@@ -233,14 +255,16 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     the valuation of (w, sigma.R) additionally contains the view variable
     of every agent for the extended history sigma.R.
     """
-    plain = pattern_update(h.model, pattern)
-    model = _with_round_variables(plain, h.base, h.round, lambda g: g)
-    return HistoryModel(model, h.base, h.rounds + (pattern,))
+    plain = pattern_update(h, pattern)
+    valuation = _round_valuation(plain, h.base, h.round, lambda g: g)
+    return HistoryModel._trusted(plain.worlds, plain.relations, valuation, plain.agents,
+                                 h.base, h.rounds + (pattern,))
 
 
-def _with_round_variables(plain: EpistemicModel, base: EpistemicModel,
-                          rounds_so_far: int, graph_of) -> EpistemicModel:
-    """``plain`` with the new round's history variables made true.
+def _round_valuation(plain: EpistemicModel, base: EpistemicModel,
+                     rounds_so_far: int, graph_of) -> dict:
+    """The valuation of ``plain`` with the new round's history variables
+    made true.
 
     Each world of ``plain`` nests one step per round around a base world,
     ``(...((w, s1), s2)..., s_n)`` with n = ``rounds_so_far + 1``;
@@ -266,7 +290,7 @@ def _with_round_variables(plain: EpistemicModel, base: EpistemicModel,
             )
             var_cache[key] = added
         valuation[w] = plain.valuation[w] | added
-    return EpistemicModel._trusted(plain.worlds, plain.relations, valuation, plain.agents)
+    return valuation
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -275,40 +299,6 @@ def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> Histor
     for _ in range(n):
         h = history_update(h, pattern)
     return h
-
-
-def history_satisfies(h: HistoryModel, point, f: Formula) -> bool:
-    """Truth at a (world, history) point under the history-based semantics.
-
-    A pattern modality advances to the next round; action-model
-    modalities have no meaning here and are rejected.
-    """
-    h.model.require_world(point)
-    return _hsat(h, point, f)
-
-
-def _hsat(h: HistoryModel, point, f: Formula) -> bool:
-    if isinstance(f, Var):
-        return atom_holds(h.model.valuation[point], f.atom)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Neg):
-        return not _hsat(h, point, f.sub)
-    if isinstance(f, Conj):
-        return _hsat(h, point, f.left) and _hsat(h, point, f.right)
-    if isinstance(f, DKnow):
-        blocks, block_of = group_blocks(h.model, f.group)
-        return all(_hsat(h, v, f.sub) for v in blocks[block_of[point]])
-    if isinstance(f, PatternBox):
-        nxt = h._round_cache.get(f.pattern)
-        if nxt is None:
-            nxt = history_update(h, f.pattern)
-            h._round_cache[f.pattern] = nxt
-        return _hsat(nxt, (point, f.graph), f.sub)
-    if isinstance(f, ActionBox):
-        raise EpiupdateError(
-            "action-model modalities are not interpreted in the history semantics")
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # -- history variable universes ----------------------------------------------
@@ -365,7 +355,8 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    return _with_round_variables(plain, base, rounds_so_far, lambda act: act[0])
+    valuation = _round_valuation(plain, base, rounds_so_far, lambda act: act[0])
+    return EpistemicModel._trusted(plain.worlds, plain.relations, valuation, plain.agents)
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:

@@ -206,8 +206,7 @@ class EpistemicModel(_Partitioned):
         # per-instance caches; values are deterministic, so a racy double
         # computation is harmless
         self._group_cache: dict[frozenset, tuple] = {}
-        self._pattern_cache: dict = {}
-        self._action_cache: dict = {}
+        self._products: dict = {}
         self._locals_cache: dict = {}
         self._name_map = None
 
@@ -259,8 +258,22 @@ class EpistemicModel(_Partitioned):
             self._locals_cache[world] = hit
         return hit
 
-    def local_valuation(self, world, agent) -> frozenset:
-        return self.locals_at(world).get(agent, frozenset())
+    def step(self, mechanism) -> EpistemicModel:
+        """The model updated by a pattern or an action model: here the plain
+        ``pattern_update`` or ``action_update``; a history model overrides it."""
+        from .comm import CommPattern, pattern_update
+        if isinstance(mechanism, CommPattern):
+            return pattern_update(self, mechanism)
+        from .actions import action_update
+        return action_update(self, mechanism)
+
+    def updated(self, mechanism) -> EpistemicModel:
+        """``step(mechanism)``, built once per model and mechanism; the
+        dynamic modalities of the evaluator step through it."""
+        hit = self._products.get(mechanism)
+        if hit is None:
+            hit = self._products[mechanism] = self.step(mechanism)
+        return hit
 
     def world_named(self, name: str):
         if self._name_map is None:
@@ -308,14 +321,15 @@ def _component_name(x) -> str:
 
 def _locality_violation(model: EpistemicModel):
     """The first (agent, w, v) where w and v share a block of the agent but
-    disagree on its own atoms, or None when the model is local."""
+    disagree on its own atoms, or None when the model is local.  ``w`` is
+    the block's first world and ``v`` the first later one in world order,
+    so the answer does not depend on the hash seed."""
     empty = frozenset()
     for a in model.agents:
         for blk in model.relations[a]:
-            it = iter(blk)
-            first = next(it)
+            first, *rest = sorted(blk, key=model._index.__getitem__)
             ref = model.locals_at(first).get(a, empty)
-            for w in it:
+            for w in rest:
                 if model.locals_at(w).get(a, empty) != ref:
                     return a, first, w
     return None

@@ -94,13 +94,12 @@ def candidate_patterns(agents, max_pattern_size=None):
             yield CommPattern([graphs[i] for i in chosen])
 
 
-def find_equivalent_pattern(bases, target: UpdateSpec,
-                            max_pattern_size=None) -> CommPattern | None:
-    """First pattern update-equivalent to the target on every base, if any.
+def pattern_verdicts(bases, target: UpdateSpec, max_pattern_size=None):
+    """Yield ``(pattern, verdict)`` for every candidate pattern in order:
+    is the pattern update-equivalent to the target on every base?
 
-    Exhaustive and deterministic over the candidate enumeration; the
-    search space is capped by pattern size (all patterns for two agents,
-    subsets up to size four for three, unless overridden).
+    The search space is capped by pattern size (all patterns for two
+    agents, subsets up to size four for three, unless overridden).
     """
     bases = list(bases)
     if not bases:
@@ -111,9 +110,15 @@ def find_equivalent_pattern(bases, target: UpdateSpec,
     if max_pattern_size is None:
         max_pattern_size = default_pattern_size_cap(len(agents))
     for pattern in candidate_patterns(agents, max_pattern_size):
-        if update_equivalent_on(bases, PatternUpdate(pattern), target):
-            return pattern
-    return None
+        yield pattern, update_equivalent_on(bases, PatternUpdate(pattern), target)
+
+
+def find_equivalent_pattern(bases, target: UpdateSpec,
+                            max_pattern_size=None) -> CommPattern | None:
+    """The first pattern of :func:`pattern_verdicts` update-equivalent to
+    the target on every base, if any."""
+    return next((pattern for pattern, ok
+                 in pattern_verdicts(bases, target, max_pattern_size) if ok), None)
 
 
 def witness_round(action_model: ActionModel) -> int:

@@ -1,39 +1,23 @@
-"""The satisfaction relation and model validity.
+"""The satisfaction relation and model validity: the one formula evaluator.
 
-Dynamic modalities are evaluated by materializing the updated model; the
-product for a given (model, pattern) or (model, action model) pair is
-memoized on the model instance so that repeated subformulas under the
-same update do not recompute it.
+A dynamic modality steps to the updated model that the model itself
+builds, ``model.updated(mechanism)``, which is memoized on the model so
+that repeated subformulas under the same update do not recompute it.  A
+plain model steps to the pattern or action-model product.  A history
+model (:class:`~epiupdate.history.HistoryModel`) is a model whose pattern
+step is the next history round and which rejects action models, so the
+same evaluator gives the history-based semantics on it.
 """
 from __future__ import annotations
 
-from .comm import CommPattern, pattern_update
 from .formulas import ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
 from .history import atom_holds
 from .models import EpistemicModel, group_blocks
 
 
-def pattern_product(model: EpistemicModel, pattern: CommPattern) -> EpistemicModel:
-    """Memoized pattern update."""
-    hit = model._pattern_cache.get(pattern)
-    if hit is None:
-        hit = pattern_update(model, pattern)
-        model._pattern_cache[pattern] = hit
-    return hit
-
-
-def action_product(model: EpistemicModel, action_model) -> EpistemicModel:
-    """Memoized action-model update."""
-    hit = model._action_cache.get(action_model)
-    if hit is None:
-        from .actions import action_update
-        hit = action_update(model, action_model)
-        model._action_cache[action_model] = hit
-    return hit
-
-
 def satisfies(model: EpistemicModel, world, f: Formula) -> bool:
-    """Truth of a formula at a world of a local model."""
+    """Truth of a formula at a world of a local model; on a history model,
+    under the history-based semantics."""
     model.require_world(world)
     return _sat(model, world, f)
 
@@ -51,13 +35,13 @@ def _sat(model, world, f) -> bool:
         blocks, block_of = group_blocks(model, f.group)
         return all(_sat(model, v, f.sub) for v in blocks[block_of[world]])
     if isinstance(f, PatternBox):
-        updated = pattern_product(model, f.pattern)
-        return _sat(updated, (world, f.graph), f.sub)
+        return _sat(model.updated(f.pattern), (world, f.graph), f.sub)
     if isinstance(f, ActionBox):
-        if not _sat(model, world, f.model.pre[f.action]):
-            return True
-        updated = action_product(model, f.model)
-        return _sat(updated, (world, f.action), f.sub)
+        # (world, action) is a world of the product exactly where the
+        # precondition holds
+        updated = model.updated(f.model)
+        point = (world, f.action)
+        return not updated.has_world(point) or _sat(updated, point, f.sub)
     raise TypeError(f"not a formula: {f!r}")
 
 

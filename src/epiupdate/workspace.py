@@ -263,16 +263,13 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
 
 def apply_step(ws: Workspace, model: EpistemicModel, op: str, operand) -> EpistemicModel:
     """One update step: ``odot`` a pattern name, ``otimes`` an action model
-    or the name of one."""
-    from .actions import action_update
-    from .comm import pattern_update
-
+    or the name of one, taken by the model's own ``step``."""
     if op == "odot":
         if not isinstance(operand, str) or operand not in ws.patterns:
             raise UnknownNameError(f"unknown pattern {operand!r}")
-        return pattern_update(model, ws.patterns[operand])
-    if isinstance(operand, str):
+        operand = ws.patterns[operand]
+    elif isinstance(operand, str):
         if operand not in ws.action_models:
             raise UnknownNameError(f"unknown action model {operand!r}")
         operand = ws.action_models[operand]
-    return action_update(model, operand)
+    return model.step(operand)

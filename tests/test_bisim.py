@@ -361,3 +361,38 @@ class TestIsomorphic:
             {}, agents=agents)
         assert not isomorphic(chain, ring)
         assert isomorphic(ring, ring)
+
+    def test_colours_compare_across_models(self):
+        # one world each, told apart only by p_a
+        with_p = EpistemicModel(["w"], {"a": [["w"]], "b": [["w"]]}, {"w": {P_A}})
+        without = EpistemicModel(["w"], {"a": [["w"]], "b": [["w"]]}, {})
+        assert not models_bisimilar(with_p, without)
+        assert not isomorphic(with_p, without)
+
+    def test_isomorphic_with_colours_numbered_differently(self):
+        def line(marked):
+            return EpistemicModel(
+                ["1", "2", "3"], {"a": [["1"], ["2"], ["3"]], "b": [["1", "2", "3"]]},
+                {marked: {P_A}})
+        assert isomorphic(line("1"), line("3"))
+
+    def test_reversed_world_order(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            m = random_local_model(rng)
+            reversed_copy = EpistemicModel(
+                list(reversed(m.worlds)), m.relations, m.valuation, agents=m.agents)
+            assert isomorphic(m, reversed_copy)
+            assert isomorphic(reversed_copy, m)
+
+    def test_isomorphic_implies_bisimilar(self):
+        # small models, so that many pairs are isomorphic
+        rng = random.Random(17)
+        found = 0
+        for _ in range(200):
+            m, o = (random_local_model(rng, max_agents=2, max_atoms_per_agent=1,
+                                       max_worlds=3) for _ in range(2))
+            if isomorphic(m, o):
+                found += 1
+                assert models_bisimilar(m, o)
+        assert found >= 5

@@ -4,18 +4,21 @@ from itertools import product
 import pytest
 
 from epiupdate import (
-    DKnow, EpiupdateError, HistoryVariable, PatternBox, Var, atom_holds,
-    concrete_view, history_atoms_below, history_power, history_satisfies,
+    DKnow, EpiupdateError, EpistemicModel, HistoryVariable, PatternBox, Var,
+    atom_holds, concrete_view, history_atoms_below, history_power,
     history_start, history_update, induced_chain, is_interpreted_system,
     is_local, knows, models_bisimilar, pattern_update, realized_history_atoms,
-    round_variables, view_of, iff, action_update, induced_action_model,
+    round_variables, satisfies, view_of, iff, action_update,
+    induced_action_model,
 )
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 from epiupdate.history import EMPTY_VIEW, _initials_key
 
-from genlib import random_interpreted_system, random_pattern
+from genlib import (
+    model_atoms, random_interpreted_system, random_pattern, random_pattern_formula,
+)
 
 AB = ("a", "b")
 
@@ -154,13 +157,13 @@ class TestHistorySemantics:
         h0 = history_start(sq)
         rab = graph("Rab", isp)
         a_a = Var(HistoryVariable(view_of("a", (rab,)), "a"))
-        assert history_satisfies(h0, "11", PatternBox(isp, rab, a_a))
+        assert satisfies(h0, "11", PatternBox(isp, rab, a_a))
 
     def test_full_group_collapse_preserved(self):
         sq = sq_model()
         h0 = history_start(sq)
         f = iff(DKnow(frozenset(AB), Var(P_A)), Var(P_A))
-        assert all(history_satisfies(h0, w, f) for w in sq.worlds)
+        assert all(satisfies(h0, w, f) for w in sq.worlds)
 
     def test_sender_knows_delivery_shape(self):
         # under the snapshot pattern, hearing from nobody else pins the
@@ -173,7 +176,7 @@ class TestHistorySemantics:
         f = PatternBox(isp, rab, knows("a", ab_b))
         h1 = history_update(h0, isp)
         assert h1.model.block_of("a", ("11", rab)) == {("11", rab), ("10", rab)}
-        assert history_satisfies(h0, "11", f)
+        assert satisfies(h0, "11", f)
 
     def test_sender_does_not_know_under_send_maybe(self):
         # under send-maybe the no-delivery graph is possible for a too
@@ -183,7 +186,7 @@ class TestHistorySemantics:
         rab = graph("Rab", byz)
         ab_b = Var(HistoryVariable(view_of("b", (rab,)), "b"))
         f = PatternBox(byz, rab, knows("a", ab_b))
-        assert not history_satisfies(h0, "11", f)
+        assert not satisfies(h0, "11", f)
 
     def test_action_modalities_rejected(self):
         from epiupdate.formulas import ActionBox
@@ -192,7 +195,40 @@ class TestHistorySemantics:
         u = induced_action_model(byz_pattern(), [P_A])
         f = ActionBox(u, u.actions[0], Var(P_A))
         with pytest.raises(EpiupdateError, match="history"):
-            history_satisfies(h0, "11", f)
+            satisfies(h0, "11", f)
+
+    def test_history_variables_tell_the_semantics_apart(self):
+        # the history round makes a's view variable true; the plain
+        # product has no history variables at all
+        sq = sq_model()
+        isp = immediate_snapshot()
+        rab = graph("Rab", isp)
+        f = PatternBox(isp, rab, Var(HistoryVariable(view_of("a", (rab,)), "a")))
+        assert satisfies(history_start(sq), "11", f)
+        assert not satisfies(sq, "11", f)
+
+    def test_base_atom_formulas_agree_at_round_zero(self):
+        rng = random.Random(11)
+        for i in range(30):
+            m = random_interpreted_system(rng, max_agents=2 + i % 2, max_atoms_per_agent=1)
+            patterns = [random_pattern(rng, m.agents, max_graphs=3) for _ in range(2)]
+            h0 = history_start(m)
+            for _ in range(10):
+                f = random_pattern_formula(rng, model_atoms(m), m.agents, patterns)
+                for w in m.worlds:
+                    assert satisfies(h0, w, f) == satisfies(m, w, f)
+
+    def test_history_model_is_a_model(self):
+        sq = sq_model()
+        isp = immediate_snapshot()
+        h1 = history_update(history_start(sq), isp)
+        assert isinstance(h1, EpistemicModel)
+        assert h1.model is h1
+        assert (h1.base, h1.rounds, h1.round) == (sq, (isp,), 1)
+        # the pattern step is the history round, built once
+        assert h1.updated(isp) is h1.updated(isp)
+        assert h1.updated(isp).rounds == (isp, isp)
+        assert models_bisimilar(h1.updated(isp), history_update(h1, isp))
 
 
 class TestInducedChain:

@@ -177,7 +177,13 @@ class TestDotExport:
             "from epiupdate.workspace import action_model_to_json\n"
             "c = compose(induced_action_model(immediate_snapshot(), [P_A, P_B]), skip())\n"
             "print(json.dumps(action_model_to_json(c)))\n"
-            "print(action_model_dot(c))\n")
+            "print(action_model_dot(c))\n"
+            "from epiupdate import EpistemicModel, LocalityError\n"
+            "try:\n"
+            "    EpistemicModel(['u', 'v', 'x', 'y'], {'a': [['u', 'v', 'x', 'y']]},\n"
+            "                   {'u': [P_A], 'x': [P_A]})\n"
+            "except LocalityError as e:\n"
+            "    print(e)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
         outs = [subprocess.run([sys.executable, "-c", script], check=True,
                                capture_output=True, text=True,
@@ -186,3 +192,4 @@ class TestDotExport:
                 for seed in ("0", "2")]
         assert outs[0] == outs[1]
         assert '"id": "((Rab,{p_a,p_b}), \'skip\')"' in outs[0]
+        assert "worlds u and v are indistinguishable for agent a" in outs[0]
