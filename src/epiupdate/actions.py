@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from .comm import CommPattern
 from .errors import EpiupdateError
 from .formulas import Conj, Formula, ActionBox, description, has_dynamic
-from .models import EpistemicModel, _Partitioned, atom_key, ensure_capacity, partition_by
+from .models import (
+    EpistemicModel, _Partitioned, atom_key, ensure_capacity, partition_by, world_name,
+)
 
 
 class ActionModel(_Partitioned):
@@ -202,11 +204,16 @@ def whether_announce(f: Formula, agents, name=None) -> ActionModel:
 def model_as_action_model(model: EpistemicModel, atoms, name=None) -> ActionModel:
     """Copy a model into an action model whose preconditions describe the valuations.
 
-    Each world becomes an action with the full description of the world's
-    valuation (over the given atoms) as precondition; relations carry over.
+    Each world becomes an action named by the world's name (``00.Rab``)
+    with the full description of the world's valuation (over the given
+    atoms) as precondition; relations carry over.
     """
     atom_list = tuple(sorted(set(atoms), key=atom_key))
-    pre = {w: description(model.valuation[w] & frozenset(atom_list), atom_list)
+    names = {w: world_name(w) for w in model.worlds}
+    if len(set(names.values())) < len(names):
+        raise EpiupdateError("two worlds share a name, so they cannot name two actions")
+    pre = {names[w]: description(model.valuation[w] & frozenset(atom_list), atom_list)
            for w in model.worlds}
-    return ActionModel._trusted(model.worlds, dict(model.relations), pre,
-                                model.agents, name)
+    relations = {a: tuple(frozenset(names[w] for w in blk) for blk in model.relations[a])
+                 for a in model.agents}
+    return ActionModel._trusted(tuple(names.values()), relations, pre, model.agents, name)

@@ -6,6 +6,16 @@ agents.  All checks run as partition refinement: start from blocks of
 equal valuation and split a block whenever two members see different sets
 of current blocks along some group relation.  Checks between two models
 run on their disjoint union, so one refinement engine serves both.
+
+The engine (``_refine``) refines in synchronous rounds, so round r yields
+exactly the partition of r-bisimilarity and bounded checks and
+distinguishing depths are exact.  Within a round it re-signs only the
+nodes next to a split of the round before: the members of every group
+class that holds a relabelled node.  A split block keeps its id on its
+largest part and only the smaller parts are relabelled (Hopcroft's
+smaller-half rule), so a node is relabelled O(log n) times.  Group
+relations that are the identity are dropped, since a singleton class
+never splits a block.
 """
 from __future__ import annotations
 
@@ -54,58 +64,107 @@ def _refine(models, max_rounds=None, watch=None):
         if m.agents != agents:
             raise ValueError("bisimulation checks require a shared agent set")
 
-    # per-agent block of every node, offset per model so that blocks of
-    # different models never share an id
-    agent_col = {}
+    # per agent group, the class id of every node and the class count; ids
+    # are offset per model so that classes of different models never share one
+    classes = {}
     for a in agents:
         col, offset = [], 0
         for m in models:
             bm = m.block_map(a)
-            col.extend(offset + bm[w] for w in m.worlds)
+            col.extend([offset + bm[w] for w in m.worlds])
             offset += len(m.relations[a])
-        agent_col[a] = col
-
-    # fixed group-relation block ids per node, one array per agent group:
-    # a group's block is the tuple of its members' blocks
-    group_arrays = []
-    for group in _agent_groups(agents):
-        if len(group) == 1:
-            group_arrays.append(agent_col[group[0]])
-            continue
-        ids: dict[tuple, int] = {}
-        group_arrays.append([ids.setdefault(key, len(ids))
-                             for key in zip(*(agent_col[a] for a in group))])
+        classes[(a,)] = col, offset
 
     # initial partition: equal valuation (valuations are stored in world order)
     val_ids: dict[frozenset, int] = {}
     labels = [val_ids.setdefault(val, len(val_ids))
               for m in models for val in m.valuation.values()]
-    n = len(labels)
-
     if watch is not None and labels[watch[0]] != labels[watch[1]]:
         return labels, 0
+    n = len(labels)
+    label_of = labels.__getitem__
+    blocks: list[set[int]] = [set() for _ in val_ids]
+    for k, b in enumerate(labels):
+        blocks[b].add(k)
+
+    # one column per agent group that is not the identity (a singleton class
+    # meets only its own block, so it never splits one): the class id of
+    # every node, the members of every class and the set of blocks each
+    # class meets.  A group's class pairs the classes of the group without
+    # its last agent and of that agent, so a group whose smaller group is
+    # the identity is the identity too.
+    columns = []
+    for group in _agent_groups(agents):
+        if group not in classes:
+            arr, count = classes[group[:-1]]
+            if count < n:
+                ids: dict[tuple, int] = {}
+                arr = [ids.setdefault(key, len(ids))
+                       for key in zip(arr, classes[group[-1:]][0])]
+                count = len(ids)
+            classes[group] = arr, count
+        arr, count = classes[group]
+        if count == n:
+            continue
+        members: list[list[int]] = [[] for _ in range(count)]
+        for k, c in enumerate(arr):
+            members[c].append(k)
+        meets = [frozenset(map(label_of, mem)) for mem in members]
+        columns.append((arr, members, meets))
+
+    # A node's signature is its block and the meet sets of its classes.  A
+    # class's meet set changes only when a member is relabelled, and it then
+    # gains that member's fresh label, so every member of a changed class
+    # now signs unlike the round before, while the untouched members of its
+    # block keep the one signature they shared.  So a round re-signs only
+    # the members of changed classes: per block, they split by signature,
+    # and the untouched rest is one more part.
+    touched = range(n)
     split = None
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
-        signatures = [labels]
-        for arr in group_arrays:
-            touched: dict[int, set] = {}
-            for k in range(n):
-                touched.setdefault(arr[k], set()).add(labels[k])
-            frozen = {b: frozenset(s) for b, s in touched.items()}
-            signatures.append([frozen[arr[k]] for k in range(n)])
-        sig_ids: dict[tuple, int] = {}
-        new = [0] * n
-        for k in range(n):
-            key = tuple(sig[k] for sig in signatures)
-            new[k] = sig_ids.setdefault(key, len(sig_ids))
         rounds += 1
-        if new == labels:
+        nodes = list(touched)
+        keys = zip([labels[k] for k in nodes],
+                   *([meets[arr[k]] for k in nodes] for arr, _, meets in columns))
+        parts: dict[tuple, list[int]] = {}
+        for k, key in zip(nodes, keys):
+            parts.setdefault(key, []).append(k)
+        by_block: dict[int, list] = {}
+        for key, part in parts.items():
+            by_block.setdefault(key[0], []).append(part)
+        moved = []
+        for b, out in by_block.items():
+            block = blocks[b]
+            rest = len(block) - sum(map(len, out))
+            if not rest and len(out) == 1:
+                continue
+            largest = max(out, key=len)
+            if len(largest) > rest:
+                out.remove(largest)
+                if rest:
+                    out.append(block.difference(largest, *out))
+                blocks[b] = set(largest)
+            else:
+                for part in out:
+                    block.difference_update(part)
+            for part in out:
+                new = len(blocks)
+                blocks.append(set(part))
+                for k in part:
+                    labels[k] = new
+                moved.extend(part)
+        if not moved:
             break
-        labels = new
         if watch is not None and labels[watch[0]] != labels[watch[1]]:
             split = rounds
             break
+        touched = set()
+        for arr, members, meets in columns:
+            for c in {arr[k] for k in moved}:
+                mem = members[c]
+                meets[c] = frozenset(map(label_of, mem))
+                touched.update(mem)
 
     return labels, split
 

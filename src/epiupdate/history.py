@@ -66,7 +66,10 @@ class View:
             self._abstract = initial is None
         else:
             self._abstract = any(c.is_abstract for c in children)
-        self._hash = hash((group, children, initial))
+        # hash(None) is address-based on some Pythons, so a view without an
+        # initial valuation leaves it out: hashes stay equal across runs
+        self._hash = hash((group, children) if initial is None
+                          else (group, children, initial))
 
     def __eq__(self, other):
         return (self is other

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from epiupdate import (
     Atom, CommPattern, DKnow, EpistemicModel, Neg, Conj, PatternBox, Var,
@@ -73,6 +74,65 @@ def _random_split(rng, cell):
     shuffled = list(cell)
     rng.shuffle(shuffled)
     return _random_split(rng, shuffled[:cut]) + _random_split(rng, shuffled[cut:])
+
+
+def reference_refine(models, max_rounds=None, watch=None):
+    """Oracle for ``bisim._refine``: the same contract, by full signature rounds.
+
+    Every round re-signs every node with its block and, for every agent
+    group, the set of blocks its group class meets.
+    """
+    agents = models[0].agents
+    agent_col = {}
+    for a in agents:
+        col, offset = [], 0
+        for m in models:
+            bm = m.block_map(a)
+            col.extend(offset + bm[w] for w in m.worlds)
+            offset += len(m.relations[a])
+        agent_col[a] = col
+    group_arrays = []
+    for k in range(1, len(agents) + 1):
+        for group in combinations(agents, k):
+            ids: dict[tuple, int] = {}
+            group_arrays.append([ids.setdefault(key, len(ids))
+                                 for key in zip(*(agent_col[a] for a in group))])
+
+    val_ids: dict[frozenset, int] = {}
+    labels = [val_ids.setdefault(val, len(val_ids))
+              for m in models for val in m.valuation.values()]
+    n = len(labels)
+    if watch is not None and labels[watch[0]] != labels[watch[1]]:
+        return labels, 0
+    split = None
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        signatures = [labels]
+        for arr in group_arrays:
+            touched: dict[int, set] = {}
+            for k in range(n):
+                touched.setdefault(arr[k], set()).add(labels[k])
+            frozen = {b: frozenset(s) for b, s in touched.items()}
+            signatures.append([frozen[arr[k]] for k in range(n)])
+        sig_ids: dict[tuple, int] = {}
+        new = [0] * n
+        for k in range(n):
+            key = tuple(sig[k] for sig in signatures)
+            new[k] = sig_ids.setdefault(key, len(sig_ids))
+        rounds += 1
+        if new == labels:
+            break
+        labels = new
+        if watch is not None and labels[watch[0]] != labels[watch[1]]:
+            split = rounds
+            break
+    return labels, split
+
+
+def same_partition(labels, other) -> bool:
+    """Do two label arrays put the same nodes together?"""
+    return (len(labels) == len(other)
+            and len(set(labels)) == len(set(other)) == len(set(zip(labels, other))))
 
 
 def random_pattern(rng: random.Random, agents, max_graphs=8) -> CommPattern:

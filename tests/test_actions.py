@@ -3,7 +3,7 @@ import random
 import pytest
 
 from epiupdate import (
-    ActionModel, EpiupdateError, MultiPointedActionModel, Neg, Var,
+    ActionModel, EpiupdateError, EpistemicModel, MultiPointedActionModel, Neg, Var,
     action_update, announce, apply_induced, compose,
     full_interpreted_system, induced_action_model, isomorphic,
     model_as_action_model, pattern_update, skip_model,
@@ -163,6 +163,27 @@ class TestModelAsActionModel:
         m1 = pattern_update(sq, immediate_snapshot())
         u = model_as_action_model(m1, [P_A, P_B])
         assert isomorphic(action_update(sq, u), m1)
+
+    def test_actions_are_named_by_world_name(self):
+        from epiupdate.models import world_name
+        from epiupdate.workspace import action_model_to_json
+        isp = immediate_snapshot()
+        once = pattern_update(sq_model(), isp)
+        for m in (once, pattern_update(once, isp)):
+            u = model_as_action_model(m, [P_A, P_B])
+            names = [world_name(w) for w in m.worlds]
+            assert list(u.actions) == names
+            assert len(set(names)) == len(names)
+            ids = [a["id"] for a in action_model_to_json(u)["actions"]]
+            assert ids == names
+        assert "00.Rab" in [a["id"] for a in
+                            action_model_to_json(model_as_action_model(once, [P_A]))["actions"]]
+
+    def test_worlds_sharing_a_name_are_rejected(self):
+        m = EpistemicModel(["x.y", ("x", "y")], {"a": [["x.y"], [("x", "y")]],
+                                                 "b": [["x.y", ("x", "y")]]}, {})
+        with pytest.raises(EpiupdateError, match="share a name"):
+            model_as_action_model(m, [P_A])
 
 
 class TestValidation:

@@ -7,12 +7,14 @@ from epiupdate import (
     minimize, models_bisimilar, n_bisimilar, pattern_update, satisfies,
     DKnow,
 )
+from epiupdate.bisim import _refine
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 
 from genlib import (
     model_atoms, random_local_model, random_pattern, random_static_formula,
+    reference_refine, same_partition,
 )
 
 
@@ -238,6 +240,88 @@ class TestExactDepth:
         assert not n_bisimilar(m, w, m, v, 121)
 
 
+def discrete_copy(model):
+    """The model with every agent's relation made the identity."""
+    return EpistemicModel(model.worlds, {a: [[w] for w in model.worlds] for a in model.agents},
+                          model.valuation, agents=model.agents)
+
+
+class TestRefineOracle:
+    """The worklist engine against full signature rounds (``reference_refine``)."""
+
+    def assert_agrees(self, models, pairs, every_bound=True):
+        """Check the engine against the reference; return the pairs' depths."""
+        depths = []
+        labels, split = _refine(models)
+        ref_labels, ref_split = reference_refine(models)
+        assert split is ref_split is None
+        assert same_partition(labels, ref_labels)
+        for k, l in pairs:
+            _, depth = _refine(models, watch=(k, l))
+            assert depth == reference_refine(models, watch=(k, l))[1]
+            assert (depth is None) == (labels[k] == labels[l])
+            depths.append(depth)
+            if every_bound:
+                bounds = range(len(labels) + 1)
+            else:
+                bounds = (0, depth - 1, depth) if depth else (0,)
+            for bound in bounds:
+                got, _ = _refine(models, max_rounds=bound)
+                want, _ = reference_refine(models, max_rounds=bound)
+                assert same_partition(got, want), bound
+                # the n_bisimilar verdict at this bound
+                assert (got[k] == got[l]) == (want[k] == want[l])
+                if depth is not None:
+                    assert (got[k] == got[l]) == (bound < depth)
+        return depths
+
+    def random_models(self, rng, n_agents):
+        m = random_local_model(rng, max_agents=n_agents, max_worlds=6)
+        while len(m.agents) != n_agents:
+            m = random_local_model(rng, max_agents=n_agents, max_worlds=6)
+        if rng.random() < 0.5:
+            m = pattern_update(m, random_pattern(rng, m.agents, max_graphs=3))
+        pick = rng.random()
+        if pick < 0.25:
+            return [m]
+        if pick < 0.4:
+            return [discrete_copy(m)]
+        other = m if pick < 0.6 else random_local_model(rng, max_agents=n_agents, max_worlds=6)
+        if other.agents != m.agents:
+            return [m]
+        return [m, other]
+
+    def test_random_unions_with_two_and_three_agents(self):
+        rng = random.Random(59)
+        depths = []
+        for i in range(120):
+            models = self.random_models(rng, 2 + i % 2)
+            n = sum(len(m.worlds) for m in models)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+            depths.extend(self.assert_agrees(models, pairs))
+        assert None in depths and 0 in depths
+        assert any(d is not None and d >= 2 for d in depths)
+
+    def test_all_identity_relations(self):
+        rng = random.Random(61)
+        for _ in range(10):
+            m = discrete_copy(random_local_model(rng, max_worlds=5))
+            n = len(m.worlds)
+            self.assert_agrees([m, m], [(k, n + k) for k in range(n)] + [(0, n - 1)])
+
+    def test_ladder_rung_against_induced_step(self):
+        sq, isp = sq_model(), immediate_snapshot()
+        u = induced_action_model(isp, [P_A, P_B])
+        prev = sq
+        for k in range(1, 5):
+            rung = pattern_update(prev, isp)
+            stepped = action_update(prev, u)
+            n = len(rung.worlds)
+            pairs = [(i, n + i) for i in range(0, n, max(1, n // 6))]
+            self.assert_agrees([rung, stepped], pairs, every_bound=False)
+            prev = rung
+
+
 class TestCollectiveVsPlain:
     def plain_bisimilar(self, left, w, right, v):
         """Oracle: refinement over singleton groups only."""
@@ -303,6 +387,15 @@ class TestMinimize:
         isp = immediate_snapshot()
         m2 = pattern_update(pattern_update(sq, isp), isp)
         assert len(minimize(m2).worlds) == 36
+
+    def test_deep_snapshot_rungs_are_minimal(self):
+        # the refinement of Sq odot IS^7 takes over a thousand rounds
+        m = sq_model()
+        isp = immediate_snapshot()
+        for k in range(1, 8):
+            m = pattern_update(m, isp)
+            if k >= 6:
+                assert len(minimize(m).worlds) == len(m.worlds) == 4 * 3 ** k
 
     def test_union_of_copies_collapses(self):
         sq = sq_model()

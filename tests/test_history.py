@@ -74,6 +74,30 @@ class TestViews:
         assert not va11.is_abstract
         assert va11.skeleton() == view_of("a", (u,))
 
+    def test_hashes_agree_across_runs(self):
+        import os
+        import subprocess
+        import sys
+
+        import epiupdate
+        script = (
+            "from epiupdate import history_start, history_update, realized_history_atoms\n"
+            "from epiupdate.fixtures import immediate_snapshot, sq_model\n"
+            "from epiupdate.history import EMPTY_VIEW, View\n"
+            "print(hash(View(('a',), (View(('a', 'b'), (EMPTY_VIEW, EMPTY_VIEW)),))))\n"
+            "h = history_start(sq_model())\n"
+            "for _ in range(2):\n"
+            "    h = history_update(h, immediate_snapshot())\n"
+            "print(list(realized_history_atoms(h)))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        outs = [subprocess.run([sys.executable, "-c", script], check=True,
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+                               ).stdout
+                for _ in range(2)]
+        assert outs[0] == outs[1]
+        assert outs[0].count("HistoryVariable(") > 10
+
     def test_abstract_matching(self):
         sq = sq_model()
         isp = immediate_snapshot()
