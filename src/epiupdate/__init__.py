@@ -30,9 +30,8 @@ from .formulas import (
 )
 from .history import (
     EMPTY_VIEW, HistoryModel, HistoryVariable, View, atom_holds,
-    concrete_view, history_atoms_below, history_power, history_start,
-    history_update, induced_chain, realized_history_atoms, round_variables,
-    view_of,
+    history_atoms_below, history_power, history_start, history_update,
+    induced_chain, realized_history_atoms, round_variables, view_of,
 )
 from .iunf import is_iunf, iunf_translate
 from .models import (

@@ -12,6 +12,12 @@ leaves, interpreted systems are closed under this update, which is the
 point of the whole construction: equal local valuations then pin down
 exactly the worlds an agent cannot distinguish.
 
+Views are built by one round step, ``_advance``: an agent's view after
+sigma.R is its sender set in R with those senders' views after sigma
+(Fagin, Halpern, Moses & Vardi, *Reasoning About Knowledge*, 1995), read
+off the history variables of the round before.  Views are hash-consed
+(Filliatre & Conchon, 2006) through a weak table that keeps none alive.
+
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
 a history model lets a pattern modality advance to the next round and
@@ -26,12 +32,14 @@ whether the agent's actual view has that shape, regardless of content.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from itertools import product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
-from .models import EpistemicModel
+from .models import EpistemicModel, atom_key, world_name
+
+_VIEWS = weakref.WeakValueDictionary()  # fields -> the live view with them
 
 
 class View:
@@ -40,16 +48,24 @@ class View:
     A round-zero view has an empty ``group`` and carries ``initial``, the
     owner's initial local valuation (``None`` in abstract views).  A
     later view carries the sorted tuple of agents heard from in the last
-    round and one child view per member, from the round before.  Views
-    are immutable; the hash is precomputed because valuations containing
-    deep trees are hashed constantly in products.
+    round and one child view per member, from the round before; ``depth``
+    counts the rounds, 0 for a round-zero view.  Views are immutable and
+    hash-consed; equality stays structural, so no answer depends on the
+    table.
     """
 
-    __slots__ = ("group", "children", "initial", "_hash", "_abstract")
+    __slots__ = ("group", "children", "initial", "depth", "is_abstract", "_hash",
+                 "_skeleton", "__weakref__")
 
-    def __init__(self, group, children, initial=None):
+    def __new__(cls, group, children, initial=None):
         group = tuple(group)
         children = tuple(children)
+        # hash(None) is address-based on some Pythons, so a view without an
+        # initial valuation leaves it out: hashes stay equal across runs
+        key = (group, children) if initial is None else (group, children, initial)
+        self = _VIEWS.get(key)
+        if self is not None:
+            return self
         if tuple(sorted(group)) != group:
             raise ValueError("view group must be sorted by agent name")
         if group:
@@ -59,17 +75,17 @@ class View:
                 raise ValueError("only round-zero views carry an initial valuation")
         elif children:
             raise ValueError("a round-zero view has no children")
+        self = super().__new__(cls)
         self.group = group
         self.children = children
         self.initial = initial
-        if not group:
-            self._abstract = initial is None
-        else:
-            self._abstract = any(c.is_abstract for c in children)
-        # hash(None) is address-based on some Pythons, so a view without an
-        # initial valuation leaves it out: hashes stay equal across runs
-        self._hash = hash((group, children) if initial is None
-                          else (group, children, initial))
+        self.depth = 1 + max(c.depth for c in children) if group else 0
+        self.is_abstract = (any(c.is_abstract for c in children) if group
+                            else initial is None)
+        self._hash = hash(key)
+        self._skeleton = None
+        _VIEWS[key] = self
+        return self
 
     def __eq__(self, other):
         return (self is other
@@ -85,17 +101,15 @@ class View:
     def __repr__(self):
         return f"View({self.serialize() or 'start'!r})"
 
-    @property
-    def is_start(self) -> bool:
-        return not self.group
-
-    @property
-    def is_abstract(self) -> bool:
-        return self._abstract
-
     def skeleton(self) -> "View":
-        """The same tree with all leaf content removed."""
-        return _skeleton(self)
+        """The same tree with all leaf content removed (built once per view)."""
+        sk = self._skeleton
+        if sk is None:
+            sk = (View(self.group, [c.skeleton() for c in self.children])
+                  if self.group else EMPTY_VIEW)
+            if sk is not self:  # a view keeping itself would be a cycle
+                self._skeleton = sk
+        return sk
 
     def serialize(self) -> str:
         """Canonical rendering: children in agent order, dot before the group.
@@ -103,10 +117,10 @@ class View:
         Leaves are invisible; a view whose children are all round-zero
         prints as just its sender set.
         """
-        if self.is_start:
+        if not self.depth:
             return ""
         root = "".join(self.group)
-        if all(c.is_start for c in self.children):
+        if all(not c.depth for c in self.children):
             return root
         inner = [c.serialize() for c in self.children]
         if len(inner) == 1:
@@ -120,37 +134,21 @@ class View:
 EMPTY_VIEW = View((), ())
 
 
-@lru_cache(maxsize=None)
-def _skeleton(view: View) -> View:
-    if view.is_start:
-        return EMPTY_VIEW
-    return View(view.group, tuple(_skeleton(c) for c in view.children))
+def _advance(views: tuple, graph, agents) -> tuple:
+    """The round step: every agent's view after a round with ``graph``,
+    from the views before it (both in ``agents`` order)."""
+    before = dict(zip(agents, views))
+    return tuple(View(heard, [before[b] for b in heard])
+                 for heard in (sorted(graph.heard[a]) for a in agents))
 
 
-@lru_cache(maxsize=None)
-def view_of(agent: str, history: tuple) -> View:
+def view_of(agent: str, history) -> View:
     """The abstract view of an agent on a sequence of communication graphs."""
-    if not history:
-        return EMPTY_VIEW
-    *earlier, last = history
-    heard = sorted(last.heard[agent])
-    children = tuple(view_of(b, tuple(earlier)) for b in heard)
-    return View(tuple(heard), children)
-
-
-@lru_cache(maxsize=None)
-def concrete_view(agent: str, history: tuple, initials: tuple) -> View:
-    """The view of an agent with initial local valuations in the leaves.
-
-    ``initials`` is a sorted tuple of (agent, frozenset-of-atoms) pairs
-    fixing every agent's round-zero local valuation.
-    """
-    if not history:
-        return View((), (), initial=dict(initials)[agent])
-    *earlier, last = history
-    heard = sorted(last.heard[agent])
-    children = tuple(concrete_view(b, tuple(earlier), initials) for b in heard)
-    return View(tuple(heard), children)
+    views = agents = ()
+    for graph in history:
+        agents = graph.agents
+        views = _advance(views or (EMPTY_VIEW,) * len(agents), graph, agents)
+    return views[agents.index(agent)] if views else EMPTY_VIEW
 
 
 class HistoryVariable:
@@ -168,7 +166,7 @@ class HistoryVariable:
                 or (isinstance(other, HistoryVariable)
                     and self._hash == other._hash
                     and self.owner == other.owner
-                    and self.view == other.view))
+                    and (self.view is other.view or self.view == other.view)))
 
     def __hash__(self):
         return self._hash
@@ -186,6 +184,17 @@ class HistoryVariable:
             return f"({ser})_{self.owner}"
         return f"{ser}_{self.owner}"
 
+    def id_name(self) -> str:
+        """The form ids use: ``str(self)`` and the sorted leaf contents in
+        tree order (``ab_b[p_a|]``), so that look-alike variables differ."""
+        return f"{self}[{'|'.join(_leaf_names(self.view))}]"
+
+
+def _leaf_names(view: View) -> list:
+    if view.depth:
+        return [name for c in view.children for name in _leaf_names(c)]
+    return ["?" if view.initial is None else ",".join(sorted(map(str, view.initial)))]
+
 
 def atom_holds(valuation: frozenset, atom) -> bool:
     """Membership test that lets abstract history variables match by shape."""
@@ -198,12 +207,6 @@ def atom_holds(valuation: frozenset, atom) -> bool:
             for p in valuation
         )
     return atom in valuation
-
-
-def _initials_key(model: EpistemicModel, world) -> tuple:
-    grouped = model.locals_at(world)
-    empty = frozenset()
-    return tuple((a, grouped.get(a, empty)) for a in model.agents)
 
 
 class HistoryModel(EpistemicModel):
@@ -247,7 +250,7 @@ class HistoryModel(EpistemicModel):
 
 
 def history_start(model: EpistemicModel) -> HistoryModel:
-    """Round zero: the model itself, with every history variable false."""
+    """Round zero: the model itself, which must hold no history variables."""
     return HistoryModel(model, model, ())
 
 
@@ -259,39 +262,45 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h, pattern)
-    valuation = _round_valuation(plain, h.base, h.round, lambda g: g)
+    valuation = _round_valuation(plain, h, h.round, lambda g: g)
     return HistoryModel._trusted(plain.worlds, plain.relations, valuation, plain.agents,
                                  h.base, h.rounds + (pattern,))
 
 
-def _round_valuation(plain: EpistemicModel, base: EpistemicModel,
-                     rounds_so_far: int, graph_of) -> dict:
-    """The valuation of ``plain`` with the new round's history variables
-    made true.
+def _latest_views(model: EpistemicModel, world, depth: int) -> tuple:
+    """Every agent's view at ``world`` after ``depth`` rounds, in agent order.
+    Reading them by depth is exact only if the start holds no history
+    variables, so round zero, which builds the leaves, rejects any."""
+    if depth:
+        latest = {p.owner: p.view for p in model.valuation[world]
+                  if isinstance(p, HistoryVariable) and p.view.depth == depth}
+        return tuple(latest[a] for a in model.agents)
+    held = [p for p in model.valuation[world] if isinstance(p, HistoryVariable)]
+    if held:
+        raise EpiupdateError(
+            "a history starts from a model without history variables; world "
+            f"{world_name(world)} holds {min(held, key=atom_key)}")
+    grouped = model.locals_at(world)
+    return tuple(View((), (), grouped.get(a, frozenset())) for a in model.agents)
 
-    Each world of ``plain`` nests one step per round around a base world,
-    ``(...((w, s1), s2)..., s_n)`` with n = ``rounds_so_far + 1``;
-    ``graph_of`` reads a round's communication graph off its step.  Every
-    agent gets the variable of its view on the graph sequence, with the
-    base world's local valuations in the leaves.
-    """
+
+def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
+                     rounds_so_far: int, graph_of) -> dict:
+    """The valuation of ``plain`` with the new round's history variables true:
+    a world ``(v, step)`` of ``plain`` steps the views at v, a world of the
+    model ``prev`` after ``rounds_so_far`` rounds, by ``graph_of(step)``."""
+    added_of: dict[tuple, frozenset] = {}
     valuation = {}
-    var_cache: dict[tuple, frozenset] = {}
+    last = views = None
     for w in plain.worlds:
-        graphs = []
-        x = w
-        for _ in range(rounds_so_far + 1):
-            x, step = x
-            graphs.append(graph_of(step))
-        key = (tuple(reversed(graphs)), _initials_key(base, x))
-        added = var_cache.get(key)
+        v, step = w
+        if v is not last:  # products list the worlds of one v together
+            last, views = v, _latest_views(prev, v, rounds_so_far)
+        key = (views, graph_of(step))
+        added = added_of.get(key)
         if added is None:
-            sigma, initials = key
-            added = frozenset(
-                HistoryVariable(concrete_view(a, sigma, initials), a)
-                for a in plain.agents
-            )
-            var_cache[key] = added
+            added = added_of[key] = frozenset(
+                map(HistoryVariable, _advance(views, key[1], plain.agents), plain.agents))
         valuation[w] = plain.valuation[w] | added
     return valuation
 
@@ -306,32 +315,26 @@ def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> Histor
 
 # -- history variable universes ----------------------------------------------
 
-def round_variables(rounds, base: EpistemicModel) -> frozenset:
-    """History variables realized by the final round of a pattern sequence.
-
-    Enumerates every history over the rounds and every initial profile
-    occurring in the base model.
-    """
-    rounds = tuple(rounds)
-    if not rounds:
-        return frozenset()
+def _round_layers(rounds, base: EpistemicModel):
+    """Per round of a pattern sequence, the history variables it realizes
+    from every start in ``base``, stepped one layer of views at a time."""
     agents = base.agents
-    profiles = {_initials_key(base, w) for w in base.worlds}
-    out = set()
-    for sigma in product(*(p.graphs for p in rounds)):
-        for initials in profiles:
-            for a in agents:
-                out.add(HistoryVariable(concrete_view(a, sigma, initials), a))
-    return frozenset(out)
+    layer = {_latest_views(base, w, 0) for w in base.worlds}
+    for pattern in rounds:
+        layer = {_advance(views, g, agents) for views in layer for g in pattern.graphs}
+        yield frozenset(HistoryVariable(view, a)
+                        for views in layer for view, a in zip(views, agents))
+
+
+def round_variables(rounds, base: EpistemicModel) -> frozenset:
+    """History variables realized by the final round of a pattern sequence,
+    over every history and every initial profile of the base model."""
+    return [frozenset(), *_round_layers(rounds, base)][-1]
 
 
 def history_atoms_below(rounds, base: EpistemicModel) -> frozenset:
     """All history variables realized strictly before the next round."""
-    rounds = tuple(rounds)
-    out = set()
-    for k in range(1, len(rounds) + 1):
-        out |= round_variables(rounds[:k], base)
-    return frozenset(out)
+    return frozenset().union(*_round_layers(rounds, base))
 
 
 def realized_history_atoms(model: EpistemicModel) -> frozenset:
@@ -349,16 +352,17 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
                           rounds_so_far: int) -> EpistemicModel:
     """One induced-model round in the history setting, applied lazily.
 
-    ``atoms`` is the atom universe of the round (base atoms plus all
-    history variables realized in earlier rounds).  Worlds pair with
-    (graph, fired valuation) actions exactly as the materialized induced
-    model would, and the new round's history variables are made true,
-    mirroring the round update.
+    ``model`` is the chain after ``rounds_so_far`` rounds from ``base``
+    (the views are read off ``model``).  ``atoms`` is the atom universe of
+    the round (base atoms plus all history variables realized in earlier
+    rounds).  Worlds pair with (graph, fired valuation) actions exactly as
+    the materialized induced model would, and the new round's history
+    variables are made true, mirroring the round update.
     """
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    valuation = _round_valuation(plain, base, rounds_so_far, lambda act: act[0])
+    valuation = _round_valuation(plain, model, rounds_so_far, lambda act: act[0])
     return EpistemicModel._trusted(plain.worlds, plain.relations, valuation, plain.agents)
 
 
@@ -387,16 +391,10 @@ def displayed_round_points(pattern: CommPattern, sigma, base_atoms,
     realized exactly at round k-1.
     """
     sigma = tuple(sigma)
-    rounds = [pattern] * len(sigma)
+    layers = [frozenset(base_atoms), *_round_layers([pattern] * (len(sigma) - 1), base)]
     pools = []
-    for k, g in enumerate(sigma):
-        if k == 0:
-            universe = sorted(frozenset(base_atoms), key=str)
-        else:
-            universe = sorted(round_variables(rounds[:k], base), key=str)
-        subsets = []
-        for bits in range(2 ** len(universe)):
-            subsets.append(frozenset(universe[i] for i in range(len(universe))
-                                     if bits >> i & 1))
-        pools.append([(g, q) for q in subsets])
+    for g, layer in zip(sigma, layers):
+        universe = sorted(layer, key=atom_key)
+        pools.append([(g, frozenset(p for i, p in enumerate(universe) if bits >> i & 1))
+                      for bits in range(2 ** len(universe))])
     return [tuple(path) for path in product(*pools)]

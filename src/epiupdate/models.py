@@ -81,8 +81,10 @@ class Atom:
 
 
 def atom_key(atom) -> str:
-    """Canonical sort key for anything atom-like (base atoms, history variables)."""
-    return str(atom)
+    """Canonical sort key for anything atom-like, and its form in ids: a
+    history variable adds its leaf content, so no two print alike."""
+    id_name = getattr(atom, "id_name", None)
+    return id_name() if id_name else str(atom)
 
 
 def partition_by(elements, key) -> tuple:
@@ -310,7 +312,7 @@ def _component_name(x) -> str:
     if isinstance(x, tuple) and len(x) == 2:
         if hasattr(x[0], "name"):
             graph, values = x
-            vals = ",".join(sorted(str(p) for p in values))
+            vals = ",".join(sorted(atom_key(p) for p in values))
             return f"({graph.name},{{{vals}}})"
         # a composed action or a product world: the tuple's repr, with nested
         # pairs rendered here so that no valuation prints in hash order

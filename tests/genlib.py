@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from epiupdate import (
-    Atom, CommPattern, DKnow, EpistemicModel, Neg, Conj, PatternBox, Var,
-    enumerate_graphs, full_interpreted_system,
+    Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
+    PatternBox, Var, View, enumerate_graphs, full_interpreted_system,
 )
 
 AGENT_POOL = ("a", "b", "c")
@@ -188,3 +188,72 @@ def random_pattern_formula(rng: random.Random, atoms, agents, patterns,
     group = frozenset(rng.sample(list(agents), rng.randint(1, len(agents))))
     return DKnow(group, random_pattern_formula(rng, atoms, agents, patterns,
                                                dyn_depth, depth - 1))
+
+
+# -- reference history views ---------------------------------------------------
+#
+# The history module builds views by one round step carried forward from
+# the previous round.  These rebuild them from scratch instead: every
+# world is walked back to its base world and each view is computed from
+# the whole graph sequence and the base world's local valuations.
+
+
+def initials_key(model, world) -> tuple:
+    """Every agent's local valuation at ``world``, as (agent, atoms) pairs."""
+    grouped = model.locals_at(world)
+    empty = frozenset()
+    return tuple((a, grouped.get(a, empty)) for a in model.agents)
+
+
+def concrete_view(agent: str, history: tuple, initials: tuple, memo=None) -> View:
+    """The view of an agent with initial local valuations in the leaves.
+
+    ``memo`` is a dict that callers rebuilding many views share; there is
+    no global cache, which would keep views alive across tests.
+    """
+    key = (agent, history, initials)
+    if memo is not None and key in memo:
+        return memo[key]
+    if not history:
+        view = View((), (), initial=dict(initials)[agent])
+    else:
+        *earlier, last = history
+        heard = sorted(last.heard[agent])
+        view = View(tuple(heard), tuple(concrete_view(b, tuple(earlier), initials, memo)
+                                        for b in heard))
+    if memo is not None:
+        memo[key] = view
+    return view
+
+
+def reference_valuation(model, base, rounds: int, graph_of) -> dict:
+    """The valuation a model ``rounds`` rounds after ``base`` should carry:
+    the base world's valuation plus every agent's view variable on each
+    prefix of the world's graph sequence.  ``graph_of`` reads a round's
+    graph off its step."""
+    out, memo = {}, {}
+    for w in model.worlds:
+        x, graphs = w, []
+        for _ in range(rounds):
+            x, step = x
+            graphs.append(graph_of(step))
+        sigma = tuple(reversed(graphs))
+        initials = initials_key(base, x)
+        out[w] = base.valuation[x] | {
+            HistoryVariable(concrete_view(a, sigma[:k], initials, memo), a)
+            for k in range(1, rounds + 1) for a in model.agents}
+    return out
+
+
+def reference_round_variables(rounds, base) -> frozenset:
+    """Every view variable of the last round: the product over all graph
+    sequences and all initial profiles of ``base``."""
+    rounds = tuple(rounds)
+    if not rounds:
+        return frozenset()
+    profiles = {initials_key(base, w) for w in base.worlds}
+    memo = {}
+    return frozenset(
+        HistoryVariable(concrete_view(a, sigma, initials, memo), a)
+        for sigma in product(*(p.graphs for p in rounds))
+        for initials in profiles for a in base.agents)

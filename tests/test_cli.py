@@ -177,6 +177,27 @@ class TestInduce:
         assert len(doc["actions"]) > 4
         assert any("_b" in a["pre"] or "ab_b" in a["pre"] for a in doc["actions"])
 
+    def test_round_two_action_ids_distinct_and_seed_free(self):
+        # history variables that print alike differ in their leaf content,
+        # which the ids show
+        import os
+        import subprocess
+        import sys
+
+        import epiupdate
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        script = "import sys; from epiupdate.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = [subprocess.run(
+                    [sys.executable, "-c", script, "induce", "Byz", "--round", "2",
+                     "--atoms", "p_a"],
+                    check=True, capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+                for seed in ("0", "1")]
+        assert outs[0] == outs[1]
+        ids = [a["id"] for a in json.loads(outs[0])["actions"]]
+        assert len(ids) == len(set(ids)) == 128
+        assert "(Rab,{a_a[],a_a[p_a],ab_b[p_a|],ab_b[|],b_b[],p_a})" in ids
+
 
 class TestOtherCommands:
     def test_minimize(self, capsys):

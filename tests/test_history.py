@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
 
 from epiupdate import (
     DKnow, EpiupdateError, EpistemicModel, HistoryVariable, PatternBox, Var,
-    atom_holds, concrete_view, history_atoms_below, history_power,
+    atom_holds, history_atoms_below, history_power,
     history_start, history_update, induced_chain, is_interpreted_system,
     is_local, knows, models_bisimilar, pattern_update, realized_history_atoms,
     round_variables, satisfies, view_of, iff, action_update,
@@ -14,10 +16,12 @@ from epiupdate import (
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
-from epiupdate.history import EMPTY_VIEW, _initials_key
+from epiupdate.history import EMPTY_VIEW, View, induced_round_product
 
 from genlib import (
-    model_atoms, random_interpreted_system, random_pattern, random_pattern_formula,
+    concrete_view, initials_key, model_atoms, random_interpreted_system,
+    random_pattern, random_pattern_formula, reference_round_variables,
+    reference_valuation,
 )
 
 AB = ("a", "b")
@@ -65,8 +69,8 @@ class TestViews:
         sq = sq_model()
         isp = immediate_snapshot()
         u = graph("U", isp)
-        init11 = _initials_key(sq, "11")
-        init10 = _initials_key(sq, "10")
+        init11 = initials_key(sq, "11")
+        init10 = initials_key(sq, "10")
         va11 = concrete_view("a", (u,), init11)
         va10 = concrete_view("a", (u,), init10)
         assert va11 != va10                      # content differs (p_b)
@@ -98,11 +102,43 @@ class TestViews:
         assert outs[0] == outs[1]
         assert outs[0].count("HistoryVariable(") > 10
 
+    def test_equal_views_are_one_object(self):
+        first = View(("a", "b"), (EMPTY_VIEW, View(("b",), (EMPTY_VIEW,))))
+        assert View(["a", "b"], [EMPTY_VIEW, View(("b",), (EMPTY_VIEW,))]) is first
+        leaf = View((), (), frozenset({P_A}))
+        assert View((), (), frozenset({P_A})) is leaf
+        assert View((), (), frozenset()) is not EMPTY_VIEW
+        rab = graph("Rab", immediate_snapshot())
+        assert view_of("b", (rab, rab)) is view_of("b", [rab, rab])
+
+    def test_history_and_induced_rounds_share_views(self):
+        sq = sq_model()
+        isp = immediate_snapshot()
+        h = history_power(sq, isp, 3)
+        chain = induced_chain(sq, [isp] * 3, [P_A, P_B])
+
+        def round_three(model):
+            return {id(p.view): p.view for val in model.valuation.values()
+                    for p in val if isinstance(p, HistoryVariable) and p.view.depth == 3}
+
+        ours, theirs = round_three(h), round_three(chain)
+        assert len(ours) > 10
+        assert ours.keys() == theirs.keys()
+
+    def test_dropped_views_are_not_kept(self):
+        h = history_power(sq_model(), immediate_snapshot(), 3)
+        view = next(p.view for p in h.valuation[h.worlds[-1]]
+                    if isinstance(p, HistoryVariable) and p.view.depth == 3)
+        dropped = weakref.ref(view)
+        del h, view
+        gc.collect()
+        assert dropped() is None
+
     def test_abstract_matching(self):
         sq = sq_model()
         isp = immediate_snapshot()
         u = graph("U", isp)
-        concrete = HistoryVariable(concrete_view("a", (u,), _initials_key(sq, "11")), "a")
+        concrete = HistoryVariable(concrete_view("a", (u,), initials_key(sq, "11")), "a")
         abstract = HistoryVariable(view_of("a", (u,)), "a")
         other = HistoryVariable(view_of("a", (graph("Rab", isp),)), "a")
         val = frozenset({concrete, P_A})
@@ -165,6 +201,24 @@ class TestRoundUpdate:
                 base = {p for p in h.model.valuation[w]
                         if not isinstance(p, HistoryVariable)}
                 assert base == set(plain.valuation[w])
+
+    def test_start_with_history_variables_rejected(self):
+        # the round step reads the latest views off the valuation by depth,
+        # which needs a start without history variables
+        sq = sq_model()
+        isp = immediate_snapshot()
+        h1 = history_power(sq, isp, 1)
+        start = "without history variables; world 00.Rab holds"
+        with pytest.raises(EpiupdateError, match=start):
+            history_update(history_start(h1), isp)
+        with pytest.raises(EpiupdateError, match=start):
+            induced_chain(h1, [isp], [P_A, P_B])
+        with pytest.raises(EpiupdateError, match=start):
+            induced_round_product(h1, isp, [P_A, P_B], h1, 0)
+        with pytest.raises(EpiupdateError, match=start):
+            round_variables([isp], h1)
+        # a later round of a proper start reads its views as before
+        assert history_update(h1, isp).round == 2
 
     def test_mixed_patterns_supported(self):
         sq = sq_model()
@@ -281,7 +335,6 @@ class TestInducedChain:
     def test_lazy_round_equals_materialized_round(self):
         # tiny base with no atoms keeps the materialized model small
         from epiupdate import full_interpreted_system
-        from epiupdate.history import _initials_key
         base = full_interpreted_system([], agents=AB)
         isp = immediate_snapshot()
 
@@ -298,7 +351,7 @@ class TestInducedChain:
         for w in plain.worlds:
             prev, (g, _q) = w
             sigma = (prev[1][0], g)
-            initials = _initials_key(base, prev[0])
+            initials = initials_key(base, prev[0])
             added = frozenset(
                 HistoryVariable(concrete_view(x, sigma, initials), x) for x in AB)
             valuation[w] = plain.valuation[w] | added
@@ -356,3 +409,32 @@ class TestDisplayedPointSets:
         live = [p for p in paths
                 if ((("11", p[0]), p[1])) in chain_worlds]
         assert live == []
+
+
+class TestReferenceViews:
+    """The round step against views rebuilt from scratch (``genlib``)."""
+
+    def test_rounds_match_the_rebuild_on_the_acceptance_family(self):
+        from test_acceptance import _sample_family
+        for m, p in _sample_family(20):
+            atoms = frozenset(model_atoms(m))
+            h, chain = history_start(m), m
+            for n in range(1, 4):
+                h = history_update(h, p)
+                chain = induced_round_product(
+                    chain, p, atoms | realized_history_atoms(chain), m, n - 1)
+                assert h.valuation == reference_valuation(h, m, n, lambda g: g)
+                assert chain.valuation == reference_valuation(
+                    chain, m, n, lambda act: act[0])
+
+    @pytest.mark.parametrize("make_pattern", [immediate_snapshot, byz_pattern])
+    def test_universes_match_the_product_over_histories(self, make_pattern):
+        sq = sq_model()
+        pattern = make_pattern()
+        below = frozenset()
+        for n in range(4):
+            rounds = [pattern] * n
+            last = reference_round_variables(rounds, sq)
+            below |= last
+            assert round_variables(rounds, sq) == last
+            assert history_atoms_below(rounds, sq) == below
