@@ -16,9 +16,14 @@ largest part and only the smaller parts are relabelled (Hopcroft's
 smaller-half rule), so a node is relabelled O(log n) times.  Group
 relations that are the identity are dropped, since a singleton class
 never splits a block.
+
+Isomorphism runs on the same engine in counting mode, where a class meets
+a multiset of blocks rather than a set (colour refinement); the colours
+guide an iterative backtracking search over node indices.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -48,7 +53,7 @@ def _agent_groups(agents):
         yield from combinations(agents, k)
 
 
-def _refine(models, max_rounds=None, watch=None):
+def _refine(models, max_rounds=None, watch=None, counting=False):
     """Coarsest partition of the disjoint union stable under all group relations.
 
     Returns ``(labels, split)``: ``labels[k]`` is the block id of node k,
@@ -57,7 +62,8 @@ def _refine(models, max_rounds=None, watch=None):
     refinement stops early, which yields the depth-bounded layers.  With
     ``watch = (k, l)``, refinement stops at the first round after which
     nodes k and l differ (labels only refine, so they stay apart), and
-    ``split`` is that round; otherwise ``split`` is None.
+    ``split`` is that round; otherwise ``split`` is None.  With ``counting``,
+    a class meets the multiset of its members' blocks (colour refinement).
     """
     agents = models[0].agents
     for m in models[1:]:
@@ -83,6 +89,7 @@ def _refine(models, max_rounds=None, watch=None):
         return labels, 0
     n = len(labels)
     label_of = labels.__getitem__
+    meet = (lambda ls: frozenset(Counter(ls).items())) if counting else frozenset
     blocks: list[set[int]] = [set() for _ in val_ids]
     for k, b in enumerate(labels):
         blocks[b].add(k)
@@ -109,7 +116,7 @@ def _refine(models, max_rounds=None, watch=None):
         members: list[list[int]] = [[] for _ in range(count)]
         for k, c in enumerate(arr):
             members[c].append(k)
-        meets = [frozenset(map(label_of, mem)) for mem in members]
+        meets = [meet(map(label_of, mem)) for mem in members]
         columns.append((arr, members, meets))
 
     # A node's signature is its block and the meet sets of its classes.  A
@@ -118,7 +125,8 @@ def _refine(models, max_rounds=None, watch=None):
     # now signs unlike the round before, while the untouched members of its
     # block keep the one signature they shared.  So a round re-signs only
     # the members of changed classes: per block, they split by signature,
-    # and the untouched rest is one more part.
+    # and the untouched rest is one more part.  All of this holds word for
+    # word for the meet multisets of counting mode.
     touched = range(n)
     split = None
     rounds = 0
@@ -163,7 +171,7 @@ def _refine(models, max_rounds=None, watch=None):
         for arr, members, meets in columns:
             for c in {arr[k] for k in moved}:
                 mem = members[c]
-                meets[c] = frozenset(map(label_of, mem))
+                meets[c] = meet(map(label_of, mem))
                 touched.update(mem)
 
     return labels, split
@@ -256,80 +264,57 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
 def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:
     """Exact isomorphism respecting valuations and every agent's partition.
 
-    Backtracking search over colour classes; colours start from the
-    valuation and per-agent block sizes and are refined until stable.
-    Intended for desk-scale models.
+    Colours come from counting-mode refinement of the disjoint union.  An
+    iterative backtracking search pairs the worlds, those of small colour
+    classes first, with worlds of their colour; a pairing is consistent
+    while each agent's blocks map one to one, which costs O(|agents|) a try.
     """
-    if model.agents != other.agents:
+    n = len(model.worlds)
+    if model.agents != other.agents or n != len(other.worlds):
         return False
-    if len(model.worlds) != len(other.worlds):
+    labels, _ = _refine([model, other], counting=True)
+    if sorted(labels[:n]) != sorted(labels[n:]):
         return False
-    if model.is_empty:
-        return True
-
-    colours_m, colours_o = _stable_colours(model, other)
-    if sorted(colours_m.values()) != sorted(colours_o.values()):
-        return False
-
     by_colour: dict[int, list] = {}
-    for v in other.worlds:
-        by_colour.setdefault(colours_o[v], []).append(v)
+    for j, label in enumerate(labels[n:]):
+        by_colour.setdefault(label, []).append(j)
+    sizes = [len(by_colour[label]) for label in labels[:n]]
+    order = sorted(range(n), key=sizes.__getitem__)
+    # per agent: each world's block on both sides, and the block maps so far
+    cols = [(list(map(model.block_map(a).__getitem__, model.worlds)),
+             list(map(other.block_map(a).__getitem__, other.worlds)), {}, {})
+            for a in model.agents]
 
-    order = sorted(model.worlds, key=lambda w: (len(by_colour[colours_m[w]]),
-                                                model._index[w]))
-    mapping: dict = {}
-    used: set = set()
-
-    def compatible(w, v):
-        for a in model.agents:
-            wmap = model.block_map(a)
-            vmap = other.block_map(a)
-            for w2, v2 in mapping.items():
-                if (wmap[w] == wmap[w2]) != (vmap[v] == vmap[v2]):
-                    return False
-        return True
-
-    def extend(k):
-        if k == len(order):
-            return True
-        w = order[k]
-        for v in by_colour[colours_m[w]]:
-            if v in used or not compatible(w, v):
+    used = [False] * n
+    paired = []  # per paired world of order: its partner, the block pairs it fixed
+    stack = []   # per paired world and the next one: an iterator over candidates
+    while len(paired) < n:
+        k = order[len(paired)]
+        if len(stack) == len(paired):
+            stack.append(iter(by_colour[labels[k]]))
+        for j in stack[-1]:
+            if used[j]:
                 continue
-            mapping[w] = v
-            used.add(v)
-            if extend(k + 1):
-                return True
-            del mapping[w]
-            used.discard(v)
-        return False
-
-    return extend(0)
-
-
-def _stable_colours(model: EpistemicModel, other: EpistemicModel) -> list:
-    """Colour refinement of both models at once.  Each round numbers the
-    keys of both models from one table, so equal ids name equal keys."""
-    pair = (model, other)
-    seen: dict[tuple, int] = {}
-    colours = [{w: seen.setdefault((m.valuation[w],
-                                    tuple(len(m.block_of(a, w)) for a in m.agents)),
-                                   len(seen))
-                for w in m.worlds}
-               for m in pair]
-    while True:
-        n, seen = len(seen), {}
-        new = [{w: seen.setdefault((c[w], _neighbour_colours(m, c, w)), len(seen))
-                for w in m.worlds}
-               for m, c in zip(pair, colours)]
-        if len(seen) == n:
-            return new
-        colours = new
-
-
-def _neighbour_colours(model: EpistemicModel, colour: dict, w) -> tuple:
-    """Per agent, the colours in w's block, each with its multiplicity."""
-    return tuple(
-        frozenset((colour[v], sum(1 for u in model.block_of(a, w) if colour[u] == colour[v]))
-                  for v in model.block_of(a, w))
-        for a in model.agents)
+            for left, right, fwd, bwd in cols:
+                b, c = left[k], right[j]
+                if fwd.get(b, c) != c or bwd.get(c, b) != b:
+                    break
+            else:
+                break
+        else:
+            # no partner left for world k: release the world before it
+            stack.pop()
+            if not paired:
+                return False
+            j, fixed = paired.pop()
+            used[j] = False
+            for fwd, bwd, b, c in fixed:
+                del fwd[b], bwd[c]
+            continue
+        used[j] = True
+        fixed = [(fwd, bwd, left[k], right[j]) for left, right, fwd, bwd in cols
+                 if left[k] not in fwd]
+        for fwd, bwd, b, c in fixed:
+            fwd[b], bwd[c] = c, b
+        paired.append((j, fixed))
+    return True

@@ -308,10 +308,7 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace) if args.workspace else default_workspace()
         return _COMMANDS[args.command](ws, args)
-    except EpiupdateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (EpiupdateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,9 @@ import os
 from dataclasses import dataclass
 from typing import Hashable
 
-from .errors import EmptyModelError, LocalityError, ModelCapError, UnknownNameError
+from .errors import (
+    EmptyModelError, EpiupdateError, LocalityError, ModelCapError, UnknownNameError,
+)
 
 World = Hashable
 
@@ -39,6 +41,9 @@ def world_cap() -> int:
     raw = os.environ.get("EPIUPDATE_MAX_WORLDS")
     if not raw:
         return DEFAULT_WORLD_CAP
+    if not raw.strip().isdecimal():
+        raise EpiupdateError(
+            f"EPIUPDATE_MAX_WORLDS must be a non-negative integer, not {raw!r}")
     return int(raw)
 
 
@@ -49,6 +54,15 @@ def ensure_capacity(n_worlds: int) -> None:
             f"product would have {n_worlds} worlds, exceeding the cap of {cap} "
             f"(raise EPIUPDATE_MAX_WORLDS to override)"
         )
+
+
+def _sorted_agents(agents) -> tuple:
+    """The agent names in order; a name given twice is an error."""
+    agents = tuple(sorted(agents))
+    for a, b in zip(agents, agents[1:]):
+        if a == b:
+            raise ValueError(f"duplicate agent {a!r}")
+    return agents
 
 
 class Atom:
@@ -130,7 +144,7 @@ class _Partitioned:
         if agents is None:
             agents = tuple(sorted(relations))
         else:
-            agents = tuple(sorted(agents))
+            agents = _sorted_agents(agents)
             if set(relations) != set(agents):
                 raise ValueError("relations must cover exactly the agent set")
         blocks = {a: cls._sorted_blocks(a, relations[a], index, noun) for a in agents}

@@ -26,19 +26,19 @@ import json
 
 from .actions import ActionModel
 from .comm import CommPattern, parse_graph_literal
-from .errors import UnknownNameError
+from .errors import EpiupdateError, UnknownNameError
 from .fixtures import (
     byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot,
     skip, sq_model, universal_pattern, P_A, P_B, Q_A, AGENTS_AB,
 )
-from .models import Atom, EpistemicModel, atom_key, world_name
+from .models import Atom, EpistemicModel, atom_key, _sorted_agents, world_name
 from .parser import ParserContext, parse_formula
 
 
 class Workspace:
     def __init__(self, agents, atoms, models=None, patterns=None,
                  action_models=None, formulas=None):
-        self.agents = tuple(sorted(agents))
+        self.agents = _sorted_agents(agents)
         self.atoms = {str(p): p for p in sorted(set(atoms), key=atom_key)}
         self.models = dict(models or {})
         self.patterns = dict(patterns or {})
@@ -198,9 +198,12 @@ def _check_shape(value, shape, path: str) -> None:
 
 def load_workspace(path) -> Workspace:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise EpiupdateError("workspace: nested too deeply") from None
     _check_shape(doc, _DOCUMENT, "")
-    agents = tuple(sorted(doc["agents"]))
+    agents = _sorted_agents(doc["agents"])
     atoms = [_atom_from_json(o) for o in doc.get("atoms", [])]
     atoms_by_name = {str(p): p for p in atoms}
 

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 
 from epiupdate import (
     Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
@@ -76,11 +77,12 @@ def _random_split(rng, cell):
     return _random_split(rng, shuffled[:cut]) + _random_split(rng, shuffled[cut:])
 
 
-def reference_refine(models, max_rounds=None, watch=None):
+def reference_refine(models, max_rounds=None, watch=None, counting=False):
     """Oracle for ``bisim._refine``: the same contract, by full signature rounds.
 
     Every round re-signs every node with its block and, for every agent
-    group, the set of blocks its group class meets.
+    group, the set of blocks its group class meets, or with ``counting``
+    the multiset (each block with the number of class members in it).
     """
     agents = models[0].agents
     agent_col = {}
@@ -109,10 +111,11 @@ def reference_refine(models, max_rounds=None, watch=None):
     while max_rounds is None or rounds < max_rounds:
         signatures = [labels]
         for arr in group_arrays:
-            touched: dict[int, set] = {}
+            touched: dict[int, list] = {}
             for k in range(n):
-                touched.setdefault(arr[k], set()).add(labels[k])
-            frozen = {b: frozenset(s) for b, s in touched.items()}
+                touched.setdefault(arr[k], []).append(labels[k])
+            frozen = {b: frozenset(Counter(s).items()) if counting else frozenset(s)
+                      for b, s in touched.items()}
             signatures.append([frozen[arr[k]] for k in range(n)])
         sig_ids: dict[tuple, int] = {}
         new = [0] * n
@@ -127,6 +130,25 @@ def reference_refine(models, max_rounds=None, watch=None):
             split = rounds
             break
     return labels, split
+
+
+def brute_isomorphic(model, other) -> bool:
+    """Oracle for ``bisim.isomorphic``: try every bijection of the worlds.
+
+    A bijection is an isomorphism when it keeps valuations and maps every
+    block of every agent onto a block of that agent.  Up to 6 worlds.
+    """
+    if model.agents != other.agents or len(model.worlds) != len(other.worlds):
+        return False
+    assert len(model.worlds) <= 6, "brute force is for tiny models"
+    blocks = {a: set(other.relations[a]) for a in other.agents}
+    for image in permutations(other.worlds):
+        f = dict(zip(model.worlds, image))
+        if (all(model.valuation[w] == other.valuation[f[w]] for w in model.worlds)
+                and all(frozenset(map(f.__getitem__, blk)) in blocks[a]
+                        for a in model.agents for blk in model.relations[a])):
+            return True
+    return False
 
 
 def same_partition(labels, other) -> bool:

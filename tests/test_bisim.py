@@ -13,8 +13,8 @@ from epiupdate.fixtures import (
 )
 
 from genlib import (
-    model_atoms, random_local_model, random_pattern, random_static_formula,
-    reference_refine, same_partition,
+    brute_isomorphic, model_atoms, random_local_model, random_pattern,
+    random_static_formula, reference_refine, same_partition,
 )
 
 
@@ -249,16 +249,16 @@ def discrete_copy(model):
 class TestRefineOracle:
     """The worklist engine against full signature rounds (``reference_refine``)."""
 
-    def assert_agrees(self, models, pairs, every_bound=True):
+    def assert_agrees(self, models, pairs, every_bound=True, counting=False):
         """Check the engine against the reference; return the pairs' depths."""
         depths = []
-        labels, split = _refine(models)
-        ref_labels, ref_split = reference_refine(models)
+        labels, split = _refine(models, counting=counting)
+        ref_labels, ref_split = reference_refine(models, counting=counting)
         assert split is ref_split is None
         assert same_partition(labels, ref_labels)
         for k, l in pairs:
-            _, depth = _refine(models, watch=(k, l))
-            assert depth == reference_refine(models, watch=(k, l))[1]
+            _, depth = _refine(models, watch=(k, l), counting=counting)
+            assert depth == reference_refine(models, watch=(k, l), counting=counting)[1]
             assert (depth is None) == (labels[k] == labels[l])
             depths.append(depth)
             if every_bound:
@@ -266,8 +266,8 @@ class TestRefineOracle:
             else:
                 bounds = (0, depth - 1, depth) if depth else (0,)
             for bound in bounds:
-                got, _ = _refine(models, max_rounds=bound)
-                want, _ = reference_refine(models, max_rounds=bound)
+                got, _ = _refine(models, max_rounds=bound, counting=counting)
+                want, _ = reference_refine(models, max_rounds=bound, counting=counting)
                 assert same_partition(got, want), bound
                 # the n_bisimilar verdict at this bound
                 assert (got[k] == got[l]) == (want[k] == want[l])
@@ -292,15 +292,35 @@ class TestRefineOracle:
         return [m, other]
 
     def test_random_unions_with_two_and_three_agents(self):
-        rng = random.Random(59)
-        depths = []
-        for i in range(120):
-            models = self.random_models(rng, 2 + i % 2)
-            n = sum(len(m.worlds) for m in models)
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
-            depths.extend(self.assert_agrees(models, pairs))
-        assert None in depths and 0 in depths
-        assert any(d is not None and d >= 2 for d in depths)
+        # the same unions in set mode (bisimulation) and counting mode
+        # (isomorphism colours)
+        for counting in (False, True):
+            rng = random.Random(59)
+            depths = []
+            for i in range(120):
+                models = self.random_models(rng, 2 + i % 2)
+                n = sum(len(m.worlds) for m in models)
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+                depths.extend(self.assert_agrees(models, pairs, counting=counting))
+            assert None in depths and 0 in depths
+            assert any(d is not None and d >= 2 for d in depths)
+
+    def test_counting_separates_block_sizes(self):
+        # equal valuations; agent a has blocks of sizes 3+1 in one model and
+        # 2+2 in the other: every block meets the one valuation class, but
+        # not equally often
+        def model(a_blocks):
+            return EpistemicModel(["1", "2", "3", "4"],
+                                  {"a": a_blocks, "b": [["1", "2", "3", "4"]]}, {})
+        models = [model([["1", "2", "3"], ["4"]]), model([["1", "2"], ["3", "4"]])]
+        sets, _ = _refine(models)
+        counts, _ = _refine(models, counting=True)
+        assert len(set(sets)) == 1
+        assert len(set(counts)) > 1
+        for counting, labels in ((False, sets), (True, counts)):
+            assert same_partition(labels, reference_refine(models, counting=counting)[0])
+        self.assert_agrees(models, [(0, 4), (0, 3), (4, 5)], counting=True)
+        assert models_bisimilar(*models) and not isomorphic(*models)
 
     def test_all_identity_relations(self):
         rng = random.Random(61)
@@ -489,3 +509,67 @@ class TestIsomorphic:
                 found += 1
                 assert models_bisimilar(m, o)
         assert found >= 5
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(23)
+        verdicts = set()
+        for i in range(300):
+            n_agents = 2 + i % 2
+            m = random_local_model(rng, max_agents=n_agents, max_atoms_per_agent=1,
+                                   max_worlds=6)
+            if rng.random() < 0.5:
+                # a renamed copy with shuffled worlds and blocks
+                worlds = list(m.worlds)
+                rng.shuffle(worlds)
+                rename = {w: ("c", w) for w in worlds}
+                relations = {}
+                for a in m.agents:
+                    blocks = [[rename[w] for w in blk] for blk in m.relations[a]]
+                    rng.shuffle(blocks)
+                    relations[a] = blocks
+                o = EpistemicModel([rename[w] for w in worlds], relations,
+                                   {rename[w]: m.valuation[w] for w in worlds},
+                                   agents=m.agents)
+            else:
+                o = random_local_model(rng, max_agents=n_agents, max_atoms_per_agent=1,
+                                       max_worlds=6)
+                while o.agents != m.agents or len(o.worlds) != len(m.worlds):
+                    o = random_local_model(rng, max_agents=n_agents,
+                                           max_atoms_per_agent=1, max_worlds=6)
+            want = brute_isomorphic(m, o)
+            assert isomorphic(m, o) == want
+            assert isomorphic(o, m) == want
+            verdicts.add((len(m.agents), want))
+        assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_colour_ties_left_to_the_search(self):
+        # a and b pair the worlds alternately around cycles, so every world
+        # gets one colour; only the search tells one cycle from two
+        def cycles(*lengths):
+            worlds, a, b = [], [], []
+            for c, size in enumerate(lengths):
+                ring = [f"{c}.{i}" for i in range(size)]
+                worlds += ring
+                a += [ring[i:i + 2] for i in range(0, size, 2)]
+                b += [[ring[i], ring[(i + 1) % size]] for i in range(1, size, 2)]
+            return EpistemicModel(worlds, {"a": a, "b": b}, {})
+        labels, _ = _refine([cycles(8), cycles(4, 4)], counting=True)
+        assert len(set(labels)) == 1
+        assert not isomorphic(cycles(8), cycles(4, 4))
+        assert not isomorphic(cycles(4, 4, 4), cycles(6, 6))
+        assert isomorphic(cycles(4, 8), cycles(8, 4))
+
+    def test_large_models_without_recursion(self):
+        # one search step per world: 2,916 worlds, beyond the recursion limit
+        sq, isp = sq_model(), immediate_snapshot()
+        r5 = sq
+        for _ in range(5):
+            r5 = pattern_update(r5, isp)
+        r6 = pattern_update(r5, isp)
+        reversed_copy = EpistemicModel(
+            list(reversed(r6.worlds)), r6.relations, r6.valuation, agents=r6.agents)
+        assert len(r6.worlds) == 2916
+        assert isomorphic(r6, reversed_copy)
+        stepped = action_update(r5, induced_action_model(isp, [P_A, P_B]))
+        assert len(stepped.worlds) == 2916
+        assert not isomorphic(r6, stepped)

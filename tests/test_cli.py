@@ -59,6 +59,13 @@ class TestUpdate:
             assert code == 2 and out == ""
             assert err == "error: --rounds must be at least 1\n"
 
+    @pytest.mark.parametrize("cap", ["abc", "-5", "1.5"])
+    def test_malformed_world_cap_exits_two(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", cap)
+        code, out, err = run(capsys, "update", "Sq", "--with", "IS")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "EPIUPDATE_MAX_WORLDS" in err
+
     def test_empty_product_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(WS_WITH_ABSURD))
@@ -116,6 +123,11 @@ class TestCheck:
 
 
 class TestBisim:
+    def test_iso_verdict_beyond_the_recursion_limit(self, capsys):
+        deep = " odot ".join(["Sq"] + ["IS"] * 6)  # 2,916 worlds
+        code, out, _ = run(capsys, "bisim", deep, deep, "--iso")
+        assert code == 0 and out == "isomorphic\n"
+
     def test_iso_verdict(self, capsys):
         code, out, _ = run(capsys, "bisim", "M odot Byz", "M otimes U(Byz)",
                            "--iso")
@@ -283,6 +295,7 @@ class TestWorkspaceContract:
          "empty block in relation of agent a"),
         (_workspace(M=_model(a=[["w1", "w2"], ["w2"]])),
          "overlapping blocks in relation of agent a"),
+        ({**_workspace(M=_model()), "agents": ["a", "b", "a"]}, "duplicate agent 'a'"),
     ])
     def test_exits_two(self, capsys, tmp_path, doc, message):
         path = tmp_path / "ws.json"
@@ -290,6 +303,14 @@ class TestWorkspaceContract:
         code, out, err = run(capsys, "--workspace", str(path), "dot", "M")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_nested_too_deeply_exits_two(self, capsys, tmp_path):
+        # json.dumps cannot write this document, so it is not a case above
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "--workspace", str(path), "check", "Sq", "11", "p_a")
+        assert code == 2 and out == ""
+        assert err == "error: workspace: nested too deeply\n"
 
     def test_well_formed_sample_loads(self, capsys, tmp_path):
         path = tmp_path / "ws.json"

@@ -191,6 +191,11 @@ class TestModelBasics:
         with pytest.raises(ValueError):
             EpistemicModel(["w", "w"], {"a": [["w"]]}, {})
 
+    def test_duplicate_agents_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            EpistemicModel(["w"], {"a": [["w"]]}, {}, agents=["a", "a"])
+        assert str(exc.value) == "duplicate agent 'a'"
+
     def test_relations_must_partition(self):
         with pytest.raises(ValueError):
             EpistemicModel(["u", "v"], {"a": [["u"]]}, {})
