@@ -129,7 +129,11 @@ def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
 def _heard_key(agent, graph, fired):
     """What ``agent`` receives in an induced action: its senders and their atoms."""
     senders = graph.heard[agent]
-    return senders, frozenset(p for p in fired if p.owner in senders)
+    return senders, _heard_atoms(senders, fired)
+
+
+def _heard_atoms(senders, fired):
+    return frozenset(p for p in fired if p.owner in senders)
 
 
 def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> EpistemicModel:
@@ -149,10 +153,25 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
     worlds = tuple((v, (g, fired[v])) for v in model.worlds for g in pattern.graphs)
     valuation = {(v, act): model.valuation[v] for (v, act) in worlds}
 
+    # The blocks partition_by gives for the key (block of v, *_heard_key),
+    # in the same order.  Worlds run source by source, graphs in pattern
+    # order; the heard atoms depend only on the fired valuation and the
+    # sender set, so each pair of those is computed once per call.
+    heard_atoms = {}
     relations = {}
     for a in model.agents:
         wmap = model.block_map(a)
-        relations[a] = partition_by(worlds, lambda va: (wmap[va[0]], *_heard_key(a, *va[1])))
+        heard = [g.heard[a] for g in pattern.graphs]
+        cells = {}
+        products = iter(worlds)
+        for v in model.worlds:
+            blk, q = wmap[v], fired[v]
+            for s in heard:
+                h = heard_atoms.get((q, s))
+                if h is None:
+                    h = heard_atoms[q, s] = _heard_atoms(s, q)
+                cells.setdefault((blk, s, h), []).append(next(products))
+        relations[a] = tuple(frozenset(c) for c in cells.values())
     return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
 
 

@@ -257,11 +257,12 @@ def cmd_search(ws: Workspace, args) -> int:
     if cap is None:
         cap = default_pattern_size_cap(len(agents))
 
+    verdicts = pattern_verdicts(bases, target, cap)
     print(f"target: {args.target}")
     print(f"bases:  {len(bases)}")
     print("pattern                      equivalent")
     found = None
-    for pattern, ok in pattern_verdicts(bases, target, cap):
+    for pattern, ok in verdicts:
         label = "{" + ", ".join(g.name for g in pattern.graphs) + "}"
         print(f"{label:28} {'yes' if ok else 'no'}")
         if ok and found is None:
@@ -280,7 +281,7 @@ def cmd_search(ws: Workspace, args) -> int:
         print("result: equivalent pattern found: "
               + ", ".join(g.name for g in found.graphs))
         return 0
-    scope = f"patterns of size <= {cap}" if cap else "all patterns"
+    scope = f"patterns of size <= {cap}" if cap is not None else "all patterns"
     print(f"result: no equivalent found within search space ({scope})")
     return 1
 

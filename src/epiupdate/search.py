@@ -7,7 +7,7 @@ the search space", never "proved inequivalent").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .actions import ActionModel, MultiPointedActionModel, action_update
@@ -22,12 +22,19 @@ from .models import EpistemicModel, PointedModel
 from .semantics import _sat
 
 
+# An update spec remembers its results per base (see update_results) for as
+# long as the spec lives; the memo takes no part in equality, hash or repr.
+def _memo():
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class PatternUpdate:
     """A communication pattern as an update, optionally pointed at one graph."""
 
     pattern: CommPattern
     graph: CommGraph | None = None
+    _results: dict = _memo()
 
     def __post_init__(self):
         if self.graph is not None and self.graph not in self.pattern:
@@ -39,26 +46,39 @@ class ActionUpdate:
     """A multi-pointed action model as an update."""
 
     target: MultiPointedActionModel
+    _results: dict = _memo()
 
 
 UpdateSpec = PatternUpdate | ActionUpdate
 
 
 def update_results(spec: UpdateSpec, base: PointedModel) -> list[PointedModel]:
-    """All pointed models the update relates the base to (possibly none)."""
+    """All pointed models the update relates the base to (possibly none).
+
+    The results are built once per base and spec object: a search compares
+    one target with thousands of candidates on the same bases.  Each call
+    returns a fresh list, so no caller changes what the spec holds.
+    """
+    if not isinstance(spec, (PatternUpdate, ActionUpdate)):
+        raise TypeError(f"not an update spec: {spec!r}")
+    hit = spec._results.get(base)
+    if hit is None:
+        hit = spec._results[base] = tuple(_build_results(spec, base))
+    return list(hit)
+
+
+def _build_results(spec: UpdateSpec, base: PointedModel) -> list[PointedModel]:
     m, w = base.model, base.point
     if isinstance(spec, PatternUpdate):
         updated = pattern_update(m, spec.pattern)
         graphs = [spec.graph] if spec.graph is not None else list(spec.pattern.graphs)
         return [PointedModel(updated, (w, g)) for g in graphs]
-    if isinstance(spec, ActionUpdate):
-        u = spec.target.model
-        live = [e for e in spec.target.points if _sat(m, w, u.pre[e])]
-        if not live:
-            return []
-        updated = action_update(m, u)
-        return [PointedModel(updated, (w, e)) for e in live]
-    raise TypeError(f"not an update spec: {spec!r}")
+    u = spec.target.model
+    live = [e for e in spec.target.points if _sat(m, w, u.pre[e])]
+    if not live:
+        return []
+    updated = action_update(m, u)
+    return [PointedModel(updated, (w, e)) for e in live]
 
 
 def _pointed_sets_match(xs: list[PointedModel], ys: list[PointedModel]) -> bool:
@@ -86,12 +106,18 @@ def default_pattern_size_cap(n_agents: int) -> int | None:
 
 
 def candidate_patterns(agents, max_pattern_size=None):
-    """All nonempty graph subsets up to the cap, in a fixed deterministic order."""
+    """All nonempty graph subsets up to the cap, in a fixed deterministic order.
+
+    A cap below 1 admits no candidate and is rejected at the call, not
+    when the first candidate is drawn.
+    """
+    if max_pattern_size is not None and max_pattern_size < 1:
+        raise ValueError(f"pattern size cap must be at least 1, not {max_pattern_size}")
     graphs = enumerate_graphs(agents)
     cap = max_pattern_size if max_pattern_size is not None else len(graphs)
-    for k in range(1, min(cap, len(graphs)) + 1):
-        for chosen in combinations(range(len(graphs)), k):
-            yield CommPattern([graphs[i] for i in chosen])
+    return (CommPattern([graphs[i] for i in chosen])
+            for k in range(1, min(cap, len(graphs)) + 1)
+            for chosen in combinations(range(len(graphs)), k))
 
 
 def pattern_verdicts(bases, target: UpdateSpec, max_pattern_size=None):
@@ -99,7 +125,8 @@ def pattern_verdicts(bases, target: UpdateSpec, max_pattern_size=None):
     is the pattern update-equivalent to the target on every base?
 
     The search space is capped by pattern size (all patterns for two
-    agents, subsets up to size four for three, unless overridden).
+    agents, subsets up to size four for three, unless overridden).  The
+    arguments are checked at the call; the verdicts are computed lazily.
     """
     bases = list(bases)
     if not bases:
@@ -109,8 +136,8 @@ def pattern_verdicts(bases, target: UpdateSpec, max_pattern_size=None):
         raise ValueError("all base models must share one agent set")
     if max_pattern_size is None:
         max_pattern_size = default_pattern_size_cap(len(agents))
-    for pattern in candidate_patterns(agents, max_pattern_size):
-        yield pattern, update_equivalent_on(bases, PatternUpdate(pattern), target)
+    return ((pattern, update_equivalent_on(bases, PatternUpdate(pattern), target))
+            for pattern in candidate_patterns(agents, max_pattern_size))
 
 
 def find_equivalent_pattern(bases, target: UpdateSpec,

@@ -252,6 +252,13 @@ class TestOtherCommands:
         assert len(dumped) == 2
         assert dumped[0].read_text().startswith("graph model {")
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_search_cap_below_one_exits_two(self, capsys, cap):
+        code, out, err = run(capsys, "search", "--bases", "Sq:11",
+                             "--target", "pattern:Byz", "--max-pattern-size", cap)
+        assert code == 2 and out == ""
+        assert err == f"error: pattern size cap must be at least 1, not {cap}\n"
+
 
 def _workspace(**models):
     return {"agents": ["a", "b"], "atoms": [{"base": "p", "owner": "a"}],

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from epiupdate import (
-    DKnow, EpiupdateError, EpistemicModel, HistoryVariable, PatternBox, Var,
+    DKnow, EpiupdateError, EpistemicModel, HistoryVariable, ModelCapError,
+    PatternBox, Var,
     atom_holds, history_atoms_below, history_power,
     history_start, history_update, induced_chain, is_interpreted_system,
     is_local, knows, models_bisimilar, pattern_update, realized_history_atoms,
@@ -16,6 +17,7 @@ from epiupdate import (
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
+from epiupdate import history
 from epiupdate.history import EMPTY_VIEW, View, induced_round_product
 
 from genlib import (
@@ -219,6 +221,20 @@ class TestRoundUpdate:
             round_variables([isp], h1)
         # a later round of a proper start reads its views as before
         assert history_update(h1, isp).round == 2
+
+    def test_world_cap_before_history_variables(self, monkeypatch):
+        # Sq odot IS has 12 worlds; both rounds stop at the product's cap
+        # check, before any history variable is attached
+        def attach(*args):
+            raise AssertionError("history variables attached past the cap")
+        monkeypatch.setattr(history, "_round_valuation", attach)
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "11")
+        sq = sq_model()
+        isp = immediate_snapshot()
+        with pytest.raises(ModelCapError):
+            history_update(history_start(sq), isp)
+        with pytest.raises(ModelCapError):
+            induced_round_product(sq, isp, [P_A, P_B], sq, 0)
 
     def test_mixed_patterns_supported(self):
         sq = sq_model()

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -15,7 +18,8 @@ from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, reveal_base_model,
     sq_model, P_A, P_B, Q_A,
 )
-from epiupdate.search import _pointed_sets_match, candidate_patterns
+from epiupdate import search
+from epiupdate.search import _pointed_sets_match, candidate_patterns, pattern_verdicts
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -68,6 +72,82 @@ class TestUpdateResults:
         target = ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
         trivial = PatternUpdate(CommPattern([identity_graph(AB)]))
         assert not update_equivalent_on([PointedModel(m, "w2")], trivial, target)
+
+
+class TestUpdateResultsMemo:
+    """A spec builds its results once per base, for as long as it lives."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Count the products ``update_results`` builds, by wrapping the
+        product builders as ``search`` calls them."""
+        built = Counter()
+        for name in ("pattern_update", "action_update"):
+            def counted(*args, _real=getattr(search, name), _name=name):
+                built[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(search, name, counted)
+        return built
+
+    @staticmethod
+    def specs():
+        u = announce(Var(P_A), AB)
+        return [PatternUpdate(immediate_snapshot()),
+                ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))]
+
+    def test_second_call_reuses_the_product(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        base = PointedModel(sq_model(), "11")
+        pattern_spec, action_spec = self.specs()
+        for spec in (pattern_spec, action_spec):
+            first, second = update_results(spec, base), update_results(spec, base)
+            assert first == second
+            assert all(x.model is y.model for x, y in zip(first, second))
+        assert built == {"pattern_update": 1, "action_update": 1}
+        # another base is another build
+        update_results(pattern_spec, PointedModel(sq_model(), "11"))
+        assert built["pattern_update"] == 2
+
+    def test_callers_cannot_change_the_memo(self):
+        base = PointedModel(sq_model(), "11")
+        spec = PatternUpdate(immediate_snapshot())
+        results = update_results(spec, base)
+        results.clear()
+        assert len(update_results(spec, base)) == 3
+
+    def test_memo_takes_no_part_in_equality(self):
+        base = PointedModel(sq_model(), "11")
+        pattern_spec, action_spec = self.specs()
+        for used, fresh in ((pattern_spec, PatternUpdate(pattern_spec.pattern)),
+                            (action_spec, ActionUpdate(action_spec.target))):
+            update_results(used, base)
+            assert used == fresh
+            assert hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+
+    def test_candidate_product_dies_with_the_spec(self):
+        base = PointedModel(sq_model(), "11")
+        target = PatternUpdate(byz_pattern())
+        cand = PatternUpdate(immediate_snapshot())
+        update_equivalent_on([base], cand, target)
+        cand_product = weakref.ref(update_results(cand, base)[0].model)
+        target_product = weakref.ref(update_results(target, base)[0].model)
+        del cand
+        gc.collect()
+        assert cand_product() is None
+        assert target_product() is not None
+
+    def test_inexecutable_target_builds_nothing(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        _, spec = self.specs()
+        base = PointedModel(byz_initial_model(), "w2")
+        assert update_results(spec, base) == []
+        assert update_results(spec, base) == []
+        assert not built
+
+    def test_not_a_spec_rejected(self):
+        with pytest.raises(TypeError, match="not an update spec"):
+            update_results(byz_pattern(), PointedModel(sq_model(), "11"))
 
 
 class TestSharedRefinement:
@@ -153,6 +233,15 @@ class TestFindEquivalentPattern:
     def test_size_cap_limits_search(self):
         caps = sum(1 for _ in candidate_patterns(AB, 2))
         assert caps == 4 + 6
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_size_cap_below_one_rejected_at_the_call(self, cap):
+        bases = [PointedModel(sq_model(), "11")]
+        message = f"pattern size cap must be at least 1, not {cap}"
+        with pytest.raises(ValueError, match=message):
+            candidate_patterns(AB, cap)
+        with pytest.raises(ValueError, match=message):
+            pattern_verdicts(bases, PatternUpdate(byz_pattern()), cap)
 
     def test_mismatched_bases_rejected(self):
         sq = sq_model()
