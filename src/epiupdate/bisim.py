@@ -20,6 +20,12 @@ never splits a block.
 Isomorphism runs on the same engine in counting mode, where a class meets
 a multiset of blocks rather than a set (colour refinement); the colours
 guide an iterative backtracking search over node indices.
+
+Matching two lists of points (``pointed_sets_match``) refutes before it
+refines: bisimilar points are 1-bisimilar, and a point's 1-bisimulation
+class is read off its own blocks (its valuation and the valuations of
+each of its group classes), so lists whose depth-one keys differ never
+need the union refined.
 """
 from __future__ import annotations
 
@@ -27,7 +33,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .models import EpistemicModel, partition_by
+from .errors import EpiupdateError
+from .models import (
+    EpistemicModel, PointedModel, group_blocks, partition_by, world_name,
+)
 
 
 @dataclass
@@ -198,6 +207,46 @@ def pointed_classes(points) -> list:
     return [labels[offsets[id(m)] + m._index[w]] for m, w in points]
 
 
+def _depth_one_key(model, world) -> tuple:
+    """The point's 1-bisimulation class as a canonical value.
+
+    Its valuation and, per nonempty agent group in ``_agent_groups``
+    order, the set of valuations in its group class.  A group class is the
+    point's block of the group without its last agent met with its block
+    of that agent, so only the point's own blocks are read.  Two points of
+    models with one agent set have equal keys iff they are 1-bisimilar.
+    """
+    val = model.valuation
+    key = [val[world]]
+    classes = {}
+    for group in _agent_groups(model.agents):
+        cls = model.block_of(group[-1], world)
+        if len(group) > 1:
+            cls = classes[group[:-1]] & cls
+        classes[group] = cls
+        key.append(frozenset(map(val.__getitem__, cls)))
+    return tuple(key)
+
+
+def pointed_sets_match(xs: list[PointedModel], ys: list[PointedModel]) -> bool:
+    """Does each point of either list have a bisimilar point in the other?
+    Empty matches only empty.
+
+    Bisimilar points are 1-bisimilar, so the lists' sets of depth-one keys
+    must agree; only then is the union of their models refined.
+    """
+    if not xs or not ys:
+        return not xs and not ys
+    agents = xs[0].model.agents
+    if any(p.model.agents != agents for p in (*xs, *ys)):
+        raise ValueError("bisimulation checks require a shared agent set")
+    if ({_depth_one_key(p.model, p.point) for p in xs}
+            != {_depth_one_key(p.model, p.point) for p in ys}):
+        return False
+    classes = pointed_classes([(p.model, p.point) for p in (*xs, *ys)])
+    return set(classes[:len(xs)]) == set(classes[len(xs):])
+
+
 def bisimilar(model, world, other, other_world, want_witness=False) -> BisimResult:
     """Are two pointed models collectively bisimilar?"""
     model.require_world(world)
@@ -243,7 +292,10 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
 
     The result is whole-model bisimilar to the input and no two of its
     worlds are bisimilar to each other; each quotient world is named by
-    its first representative.
+    its first representative.  Where no model is both, the call raises
+    ``EpiupdateError``: the quotient's group relation is the meet of its
+    agents' relations, which can join two classes that no group block of
+    the model joins.
     """
     if model.is_empty:
         return model
@@ -258,7 +310,39 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
         bm = model.block_map(a)
         images = [frozenset(rep_of_world[w] for w in blk) for blk in model.relations[a]]
         relations[a] = partition_by(worlds, lambda r: images[bm[r]])
-    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
+    quotient = EpistemicModel._trusted(worlds, relations, valuation, model.agents)
+    _require_group_images(model, quotient, rep_of_world)
+    return quotient
+
+
+def _require_group_images(model, quotient, rep_of_world) -> None:
+    """Raise unless each group block of the model maps onto a whole group
+    block of the quotient.
+
+    The image of a group block lies inside one group block of the quotient
+    (its members are related by every agent of the group).  If it is
+    smaller, the quotient relates two worlds that no pair of worlds of
+    their classes relates; a model bisimilar to the input whose worlds are
+    pairwise not bisimilar would have to do the same, so none exists.
+    """
+    if len(quotient.worlds) == len(model.worlds):
+        return  # no two worlds merged: the quotient is the model itself
+    order = quotient._index.__getitem__
+    for group in _agent_groups(model.agents):
+        if len(group) < 2:
+            continue
+        qblocks, qmap = group_blocks(quotient, group)
+        for blk in group_blocks(model, group)[0]:
+            reps = {rep_of_world[w] for w in blk}
+            r = min(reps, key=order)
+            whole = qblocks[qmap[r]]
+            if len(reps) < len(whole):
+                s = min(whole - reps, key=order)
+                raise EpiupdateError(
+                    f"minimize: no model without bisimilar worlds is bisimilar to "
+                    f"this one: the quotient's D{{{','.join(group)}}} would relate "
+                    f"{world_name(r)} and {world_name(s)}, but no such block of the "
+                    f"model meets both their classes")
 
 
 def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .actions import ActionModel, MultiPointedActionModel, action_update
-from .bisim import pointed_classes
+from .bisim import pointed_sets_match
 from .comm import (
     CommGraph, CommPattern, enumerate_graphs, identity_graph, make_graph,
     pattern_update,
@@ -81,14 +81,6 @@ def _build_results(spec: UpdateSpec, base: PointedModel) -> list[PointedModel]:
     return [PointedModel(updated, (w, e)) for e in live]
 
 
-def _pointed_sets_match(xs: list[PointedModel], ys: list[PointedModel]) -> bool:
-    """Mutual matching up to pointed bisimilarity; empty matches only empty."""
-    if not xs or not ys:
-        return not xs and not ys
-    classes = pointed_classes([(p.model, p.point) for p in xs + ys])
-    return set(classes[:len(xs)]) == set(classes[len(xs):])
-
-
 def update_equivalent_on(bases, x: UpdateSpec, y: UpdateSpec) -> bool:
     """Do the two updates agree, up to bisimilarity, on every given base?
 
@@ -96,7 +88,7 @@ def update_equivalent_on(bases, x: UpdateSpec, y: UpdateSpec) -> bool:
     still yields results counts as structural non-equivalence.
     """
     for base in bases:
-        if not _pointed_sets_match(update_results(x, base), update_results(y, base)):
+        if not pointed_sets_match(update_results(x, base), update_results(y, base)):
             return False
     return True
 

@@ -9,6 +9,7 @@ from epiupdate import (
     Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
     PatternBox, Var, View, enumerate_graphs, full_interpreted_system,
 )
+from epiupdate.bisim import pointed_classes
 
 AGENT_POOL = ("a", "b", "c")
 
@@ -130,6 +131,18 @@ def reference_refine(models, max_rounds=None, watch=None, counting=False):
             split = rounds
             break
     return labels, split
+
+
+def reference_sets_match(xs, ys) -> bool:
+    """Oracle for ``bisim.pointed_sets_match``: the union-only route.
+
+    Refines the union of every result model, with no depth-one keys, and
+    compares the class sets of the two lists of pointed models.
+    """
+    if not xs or not ys:
+        return not xs and not ys
+    classes = pointed_classes([(p.model, p.point) for p in xs + ys])
+    return set(classes[:len(xs)]) == set(classes[len(xs):])
 
 
 def brute_isomorphic(model, other) -> bool:

@@ -1,13 +1,15 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from epiupdate import (
-    Atom, EpistemicModel, Var, action_update, bisimilar, group_relation,
-    induced_action_model, isomorphic, knows, max_collective_bisimulation,
-    minimize, models_bisimilar, n_bisimilar, pattern_update, satisfies,
-    DKnow,
+    Atom, EpiupdateError, EpistemicModel, Neg, Var, action_update, bisimilar,
+    group_relation, induced_action_model, isomorphic, knows,
+    max_collective_bisimulation, minimize, models_bisimilar, n_bisimilar,
+    pattern_update, satisfies, DKnow,
 )
-from epiupdate.bisim import _refine
+from epiupdate.bisim import _depth_one_key, _refine
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
@@ -16,6 +18,9 @@ from genlib import (
     brute_isomorphic, model_atoms, random_local_model, random_pattern,
     random_static_formula, reference_refine, same_partition,
 )
+
+
+P_C = Atom("p", "c")
 
 
 def graph(name, pattern):
@@ -30,6 +35,19 @@ def renamed_copy(model, prefix):
          for a in model.agents},
         {rename[w]: model.valuation[w] for w in model.worlds},
         agents=model.agents)
+
+
+def images_meet_wider():
+    """Three agents, p_c true at v1 and v3.  w1 ~ w2 and v1 ~ v3, and the
+    blocks of a and of b each join the two classes, but no block of
+    {a, b} does: the meet of the images is wider than the images of the meet.
+    """
+    return EpistemicModel(
+        ["w1", "w2", "v1", "v3"],
+        {"a": [["w1", "v1"], ["w2", "v3"]],
+         "b": [["w1", "v3"], ["w2", "v1"]],
+         "c": [["w1", "w2"], ["v1", "v3"]]},
+        {"v1": {P_C}, "v3": {P_C}}, agents=("a", "b", "c"))
 
 
 def check_collective_bisimulation(relation, left, right):
@@ -240,6 +258,33 @@ class TestExactDepth:
         assert not n_bisimilar(m, w, m, v, 121)
 
 
+class TestDepthOneKey:
+    def test_agrees_with_one_round_of_refinement(self):
+        rng = random.Random(61)
+        seen = {2: set(), 3: set()}
+        for _ in range(150):
+            m = random_local_model(rng, max_worlds=6)
+            if rng.random() < 0.5:
+                m = pattern_update(m, random_pattern(rng, m.agents, max_graphs=3))
+            n = m if rng.random() < 0.3 else random_local_model(rng, max_worlds=6)
+            if m.agents != n.agents:
+                continue
+            for w in m.worlds:
+                for v in n.worlds:
+                    same = _depth_one_key(m, w) == _depth_one_key(n, v)
+                    assert same == n_bisimilar(m, w, n, v, 1)
+                    seen[len(m.agents)].add(same)
+        assert seen == {2: {True, False}, 3: {True, False}}
+
+    def test_key_reads_group_classes(self):
+        # at w1 the blocks of a and of b each hold a p_c-world; their meet does not
+        m = images_meet_wider()
+        val, of_a, of_b, of_c, of_ab, *_ = _depth_one_key(m, "w1")
+        assert val == frozenset()
+        assert of_a == of_b == {frozenset(), frozenset({P_C})}
+        assert of_c == of_ab == {frozenset()}
+
+
 def discrete_copy(model):
     """The model with every agent's relation made the identity."""
     return EpistemicModel(model.worlds, {a: [[w] for w in model.worlds] for a in model.agents},
@@ -443,6 +488,20 @@ class TestMinimize:
         m = byz_initial_model()
         stepped = minimize(pattern_update(m, identity_pattern()))
         assert isomorphic(stepped, minimize(m))
+
+
+    def test_meet_of_images_rejected(self):
+        m = images_meet_wider()
+        assert max_collective_bisimulation(m) == (
+            frozenset({"w1", "w2"}), frozenset({"v1", "v3"}))
+        # D{a,b} ~p_c holds at w1; a quotient by those classes has to fail it
+        assert satisfies(m, "w1", DKnow(frozenset("ab"), Neg(Var(P_C))))
+        with pytest.raises(EpiupdateError) as err:
+            minimize(m)
+        assert str(err.value) == (
+            "minimize: no model without bisimilar worlds is bisimilar to this "
+            "one: the quotient's D{a,b} would relate w1 and v1, but no such "
+            "block of the model meets both their classes")
 
 
 class TestIsomorphic:

@@ -217,6 +217,23 @@ class TestOtherCommands:
         assert code == 0
         assert len(json.loads(out)["worlds"]) == 4
 
+    def test_minimize_without_minimal_model_exits_two(self, capsys, tmp_path):
+        # the meet of the agents' images is wider than the image of their meet
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "agents": ["a", "b", "c"], "atoms": [{"base": "p", "owner": "c"}],
+            "models": {"M": {
+                "worlds": [{"id": "w1"}, {"id": "w2"}, {"id": "v1", "val": ["p_c"]},
+                           {"id": "v3", "val": ["p_c"]}],
+                "relations": {"a": [["w1", "v1"], ["w2", "v3"]],
+                              "b": [["w1", "v3"], ["w2", "v1"]],
+                              "c": [["w1", "w2"], ["v1", "v3"]]}}}}))
+        code, out, err = run(capsys, "--workspace", str(path), "minimize", "M")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: minimize: ") and "D{a,b}" in err
+        assert "w1 and v1" in err
+
     def test_iunf(self, capsys):
         code, out, _ = run(capsys, "iunf", "[IS:{a->b,b->a}] D{b} p_a")
         assert code == 0

@@ -11,15 +11,18 @@ from epiupdate import (
     bisimilar, check_circular_chain, disj, find_equivalent_pattern,
     fresh_variable_counterexample, full_interpreted_system,
     identity_graph, induced_action_model, minimize, models_bisimilar,
-    pattern_update, skip_model, update_equivalent_on, update_results,
-    whether_announce, witness_round, DKnow,
+    pattern_update, skip_model, universal_graph, update_equivalent_on,
+    update_results, whether_announce, witness_round, DKnow,
 )
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, reveal_base_model,
     sq_model, P_A, P_B, Q_A,
 )
-from epiupdate import search
-from epiupdate.search import _pointed_sets_match, candidate_patterns, pattern_verdicts
+from epiupdate import bisim, search
+from epiupdate.bisim import pointed_sets_match
+from epiupdate.search import candidate_patterns, pattern_verdicts
+
+from genlib import reference_sets_match
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -182,16 +185,75 @@ class TestSharedRefinement:
     def test_empty_matches_only_empty(self):
         sq = sq_model()
         x = PointedModel(sq, "11")
-        assert _pointed_sets_match([], [])
-        assert not _pointed_sets_match([x], [])
-        assert not _pointed_sets_match([], [x])
+        assert pointed_sets_match([], [])
+        assert not pointed_sets_match([x], [])
+        assert not pointed_sets_match([], [x])
 
     def test_agent_sets_must_agree(self):
         sq = sq_model()
         other = full_interpreted_system([], agents=ABC)
         with pytest.raises(ValueError):
-            _pointed_sets_match([PointedModel(sq, "11")],
-                                [PointedModel(other, other.worlds[0])])
+            pointed_sets_match([PointedModel(sq, "11")],
+                               [PointedModel(other, other.worlds[0])])
+
+
+class TestDepthOneRefutation:
+    """The matcher against ``genlib.reference_sets_match``, which refines the
+    union for every comparison."""
+
+    def test_agrees_with_union_refinement(self):
+        sq3 = full_interpreted_system([P_A, P_B, P_C])
+        bases = [PointedModel(sq3, w) for w in ("110", "011")]
+        candidates = list(candidate_patterns(ABC, 2))[:80]
+        target = next(c for c in candidates if len(c.graphs) == 2)
+        ann = announce(disj(Var(P_A), Var(P_B)), ABC)
+        u = induced_action_model(target, [P_A, P_B, P_C])
+        targets = [
+            ActionUpdate(MultiPointedActionModel(ann, frozenset(ann.actions))),
+            PatternUpdate(target),
+            ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions))),
+        ]
+        verdicts = Counter()
+        for spec in targets:
+            for pattern in candidates:
+                cand = PatternUpdate(pattern)
+                for base in bases:
+                    xs, ys = update_results(cand, base), update_results(spec, base)
+                    ok = reference_sets_match(xs, ys)
+                    assert pointed_sets_match(xs, ys) == ok
+                    verdicts[ok] += 1
+        assert verdicts[True] >= 4 and verdicts[False] > 400
+
+    @staticmethod
+    def count_refines(monkeypatch):
+        calls = []
+
+        def counted(*args, _real=bisim._refine, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(bisim, "_refine", counted)
+        return calls
+
+    def test_refuted_at_depth_one_without_refining(self, monkeypatch):
+        sq3 = full_interpreted_system([P_A, P_B, P_C])
+        base = PointedModel(sq3, "110")
+        silent, loud = (PatternUpdate(CommPattern([g]))
+                        for g in (identity_graph(ABC), universal_graph(ABC)))
+        xs, ys = update_results(silent, base), update_results(loud, base)
+        calls = self.count_refines(monkeypatch)
+        assert not pointed_sets_match(xs, ys)
+        assert calls == []
+
+    def test_hit_still_refines(self, monkeypatch):
+        sq3 = full_interpreted_system([P_A, P_B, P_C])
+        base = PointedModel(sq3, "110")
+        pattern = list(candidate_patterns(ABC, 2))[30]
+        xs = update_results(PatternUpdate(pattern), base)
+        ys = update_results(PatternUpdate(pattern), base)
+        assert xs[0].model is not ys[0].model
+        calls = self.count_refines(monkeypatch)
+        assert pointed_sets_match(xs, ys)
+        assert len(calls) == 1
 
 
 class TestFindEquivalentPattern:
