@@ -44,7 +44,7 @@ from .search import (
     find_equivalent_pattern, fresh_variable_counterexample, update_equivalent_on,
     update_results, witness_round,
 )
-from .semantics import satisfies, valid_on
+from .semantics import extension, satisfies, valid_on
 from .workspace import Workspace, default_workspace, load_workspace
 
 __version__ = "0.1.0"

@@ -76,16 +76,16 @@ def action_update(model: EpistemicModel, action_model: ActionModel) -> Epistemic
     The result may be empty when no precondition holds anywhere; pointed
     queries against an empty result raise, plain values are fine.
     """
-    from .semantics import _sat
+    from .semantics import extension
 
     if set(action_model.agents) != set(model.agents):
         raise ValueError("action model and model must share one agent set")
     ensure_capacity(len(model.worlds) * len(action_model.actions))
 
-    worlds = tuple((v, e)
-                   for v in model.worlds
-                   for e in action_model.actions
-                   if _sat(model, v, action_model.pre[e]))
+    memo = {}
+    live = {e: extension(model, action_model.pre[e], memo) for e in action_model.actions}
+    worlds = tuple((v, e) for v in model.worlds for e in action_model.actions
+                   if v in live[e])
     valuation = {(v, e): model.valuation[v] for (v, e) in worlds}
 
     relations = {}

@@ -197,43 +197,36 @@ def action_model_depth(model) -> int:
     return max((modal_depth(model.pre[e]) for e in model.actions), default=0)
 
 
+def subformulas(f: Formula):
+    """Each distinct node object of the formula and of its action boxes'
+    preconditions, once: sugar such as ``iff`` shares its operands, so a
+    chain of ``<->`` is walked in linear, not exponential, time."""
+    seen = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        yield g
+        if isinstance(g, (Neg, DKnow, PatternBox)):
+            stack.append(g.sub)
+        elif isinstance(g, Conj):
+            stack += (g.right, g.left)
+        elif isinstance(g, ActionBox):
+            stack.append(g.sub)
+            stack.extend(g.model.pre[e] for e in g.model.actions)
+        elif not isinstance(g, (Var, Top)):
+            raise TypeError(f"not a formula: {g!r}")
+
+
 def has_dynamic(f: Formula) -> bool:
-    if isinstance(f, (Var, Top)):
-        return False
-    if isinstance(f, Neg):
-        return has_dynamic(f.sub)
-    if isinstance(f, Conj):
-        return has_dynamic(f.left) or has_dynamic(f.right)
-    if isinstance(f, DKnow):
-        return has_dynamic(f.sub)
-    return True
+    return any(isinstance(g, (PatternBox, ActionBox)) for g in subformulas(f))
 
 
 def formula_atoms(f: Formula) -> frozenset:
     """All atoms occurring in the formula, including inside action preconditions."""
-    out = set()
-    _collect_atoms(f, out)
-    return frozenset(out)
-
-
-def _collect_atoms(f, out):
-    if isinstance(f, Var):
-        out.add(f.atom)
-    elif isinstance(f, Top):
-        pass
-    elif isinstance(f, Neg):
-        _collect_atoms(f.sub, out)
-    elif isinstance(f, Conj):
-        _collect_atoms(f.left, out)
-        _collect_atoms(f.right, out)
-    elif isinstance(f, (DKnow, PatternBox)):
-        _collect_atoms(f.sub, out)
-    elif isinstance(f, ActionBox):
-        for e in f.model.actions:
-            _collect_atoms(f.model.pre[e], out)
-        _collect_atoms(f.sub, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.atom for g in subformulas(f) if isinstance(g, Var))
 
 
 # -- printing ---------------------------------------------------------------

@@ -218,7 +218,7 @@ class HistoryModel(EpistemicModel):
     round.  It differs from a plain model only in its update step: a
     pattern steps to the next history round and an action model is
     rejected, so ``satisfies`` on a history model is the history-based
-    semantics.
+    semantics.  Like any model it keeps no stepped models.
     """
 
     def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):

@@ -15,6 +15,7 @@ from .comm import CommGraph, CommPattern
 from .errors import EpiupdateError
 from .formulas import (
     ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var, conj, has_dynamic,
+    subformulas,
 )
 
 
@@ -62,21 +63,10 @@ def _push(pattern: CommPattern, graph: CommGraph, body: Formula) -> Formula:
 
 
 def is_iunf(f: Formula) -> bool:
-    """Structural normal-form check."""
-    if isinstance(f, (Var, Top)):
-        return True
-    if isinstance(f, Neg):
-        return is_iunf(f.sub)
-    if isinstance(f, Conj):
-        return is_iunf(f.left) and is_iunf(f.right)
-    if isinstance(f, DKnow):
-        return is_iunf(f.sub)
-    if isinstance(f, PatternBox):
-        return _is_block_tail(f.sub)
-    return False
-
-
-def _is_block_tail(f: Formula) -> bool:
-    if isinstance(f, PatternBox):
-        return _is_block_tail(f.sub)
-    return not has_dynamic(f)
+    """Structural normal-form check: no action box, and every pattern box
+    is followed by another or by a formula free of dynamic modalities."""
+    return all(
+        not isinstance(g, ActionBox)
+        and (not isinstance(g, PatternBox)
+             or isinstance(g.sub, PatternBox) or not has_dynamic(g.sub))
+        for g in subformulas(f))

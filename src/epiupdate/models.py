@@ -222,7 +222,6 @@ class EpistemicModel(_Partitioned):
         # per-instance caches; values are deterministic, so a racy double
         # computation is harmless
         self._group_cache: dict[frozenset, tuple] = {}
-        self._products: dict = {}
         self._locals_cache: dict = {}
         self._name_map = None
 
@@ -276,20 +275,13 @@ class EpistemicModel(_Partitioned):
 
     def step(self, mechanism) -> EpistemicModel:
         """The model updated by a pattern or an action model: here the plain
-        ``pattern_update`` or ``action_update``; a history model overrides it."""
+        ``pattern_update`` or ``action_update``; a history model overrides it.
+        Each call builds the product anew: models keep no products."""
         from .comm import CommPattern, pattern_update
         if isinstance(mechanism, CommPattern):
             return pattern_update(self, mechanism)
         from .actions import action_update
         return action_update(self, mechanism)
-
-    def updated(self, mechanism) -> EpistemicModel:
-        """``step(mechanism)``, built once per model and mechanism; the
-        dynamic modalities of the evaluator step through it."""
-        hit = self._products.get(mechanism)
-        if hit is None:
-            hit = self._products[mechanism] = self.step(mechanism)
-        return hit
 
     def world_named(self, name: str):
         if self._name_map is None:

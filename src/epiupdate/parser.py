@@ -59,10 +59,10 @@ _TOKEN_RE = re.compile(
 RESERVED = {"D", "K", "hK", "hD", "true", "false"}
 
 # Deepest nesting of subformulas the parser accepts.  One level costs the
-# parser, the evaluators and the printer at most five Python frames (sugar
-# such as ``hK`` expands into three tree levels), so a formula at this
-# limit stays inside Python's default recursion limit of 1000, with room
-# for the caller's own frames.
+# parser and the printer at most five Python frames, and the evaluator one
+# frame per tree level (sugar such as ``hK`` or ``->`` expands into three
+# tree levels), so a formula at this limit stays inside Python's default
+# recursion limit of 1000, with room for the caller's own frames.
 MAX_NESTING = 128
 
 

@@ -19,7 +19,7 @@ from .comm import (
 from .errors import EpiupdateError
 from .formulas import formula_atoms
 from .models import EpistemicModel, PointedModel
-from .semantics import _sat
+from .semantics import satisfies
 
 
 # An update spec remembers its results per base (see update_results) for as
@@ -73,8 +73,9 @@ def _build_results(spec: UpdateSpec, base: PointedModel) -> list[PointedModel]:
         updated = pattern_update(m, spec.pattern)
         graphs = [spec.graph] if spec.graph is not None else list(spec.pattern.graphs)
         return [PointedModel(updated, (w, g)) for g in graphs]
-    u = spec.target.model
-    live = [e for e in spec.target.points if _sat(m, w, u.pre[e])]
+    # actions in model order, so the results do not follow the hash seed
+    u, points = spec.target.model, spec.target.points
+    live = [e for e in u.actions if e in points and satisfies(m, w, u.pre[e])]
     if not live:
         return []
     updated = action_update(m, u)

@@ -6,8 +6,8 @@ from collections import Counter
 from itertools import combinations, permutations, product
 
 from epiupdate import (
-    Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
-    PatternBox, Var, View, enumerate_graphs, full_interpreted_system,
+    ActionBox, Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
+    PatternBox, Top, Var, View, atom_holds, enumerate_graphs, full_interpreted_system,
 )
 from epiupdate.bisim import pointed_classes
 
@@ -143,6 +143,44 @@ def reference_sets_match(xs, ys) -> bool:
         return not xs and not ys
     classes = pointed_classes([(p.model, p.point) for p in xs + ys])
     return set(classes[:len(xs)]) == set(classes[len(xs):])
+
+
+def reference_sat(model, world, f, steps=None) -> bool:
+    """Oracle for ``semantics.satisfies``: the pointwise evaluator, which
+    walks the clauses once per world instead of labelling.
+
+    ``steps`` keeps the updated models of one comparison, keyed by model
+    and mechanism, so that a product is built once and not once per world.
+    An action box tests its precondition itself rather than asking the
+    product which worlds it kept.
+    """
+    steps = {} if steps is None else steps
+
+    def step(m, mechanism):
+        if (m, mechanism) not in steps:
+            steps[m, mechanism] = m.step(mechanism)
+        return steps[m, mechanism]
+
+    if isinstance(f, Var):
+        return atom_holds(model.valuation[world], f.atom)
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Neg):
+        return not reference_sat(model, world, f.sub, steps)
+    if isinstance(f, Conj):
+        return (reference_sat(model, world, f.left, steps)
+                and reference_sat(model, world, f.right, steps))
+    if isinstance(f, DKnow):
+        members = sorted(f.group)
+        return all(reference_sat(model, v, f.sub, steps) for v in model.worlds
+                   if all(v in model.block_of(a, world) for a in members))
+    if isinstance(f, PatternBox):
+        return reference_sat(step(model, f.pattern), (world, f.graph), f.sub, steps)
+    if isinstance(f, ActionBox):
+        updated = step(model, f.model)
+        return (not reference_sat(model, world, f.model.pre[f.action], steps)
+                or reference_sat(updated, (world, f.action), f.sub, steps))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def brute_isomorphic(model, other) -> bool:

@@ -6,7 +6,8 @@ from epiupdate import (
 )
 from epiupdate.actions import announce, induced_action_model
 from epiupdate.fixtures import byz_pattern, P_A, P_B
-from epiupdate.formulas import TRUE, action_model_depth, has_dynamic
+from epiupdate.formulas import TRUE, action_model_depth, has_dynamic, subformulas
+from epiupdate.iunf import is_iunf
 
 
 class TestDescriptions:
@@ -93,3 +94,29 @@ class TestInspection:
         byz = byz_pattern()
         assert not has_dynamic(DKnow(frozenset("a"), Var(P_A)))
         assert has_dynamic(PatternBox(byz, byz.graphs[0], Var(P_A)))
+
+    def test_iff_chain_walked_once_per_subformula(self):
+        # iff shares its operands, so a chain of n links has O(n) distinct
+        # subformulas but a tree of 2^n nodes
+        f = Var(P_A)
+        for _ in range(40):
+            f = iff(f, Var(P_B))
+        byz = byz_pattern()
+        boxed = PatternBox(byz, byz.graphs[0], f)
+        # the asserts name no formula: printing a chain's tree is exponential
+        ids = [id(g) for g in subformulas(f)]
+        atoms = formula_atoms(f)
+        checks = (has_dynamic(f), is_iunf(f), announce(f, ("a", "b")).pre["ann"] is f,
+                  has_dynamic(boxed), is_iunf(boxed),
+                  is_iunf(PatternBox(byz, byz.graphs[0], Conj(f, boxed))))
+        assert len(ids) == len(set(ids)) < 20 * 40
+        assert atoms == {P_A, P_B}
+        assert checks == (False, True, True, True, True, False)
+
+    def test_walk_includes_action_preconditions(self):
+        from epiupdate.formulas import ActionBox
+        u = announce(Var(P_B), ("a", "b"))
+        f = ActionBox(u, "ann", Var(P_A))
+        assert [type(g).__name__ for g in subformulas(f)] == ["ActionBox", "Var", "Var"]
+        with pytest.raises(TypeError):
+            list(subformulas(Conj(Var(P_A), "p_b")))

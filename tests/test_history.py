@@ -319,10 +319,10 @@ class TestHistorySemantics:
         assert isinstance(h1, EpistemicModel)
         assert h1.model is h1
         assert (h1.base, h1.rounds, h1.round) == (sq, (isp,), 1)
-        # the pattern step is the history round, built once
-        assert h1.updated(isp) is h1.updated(isp)
-        assert h1.updated(isp).rounds == (isp, isp)
-        assert models_bisimilar(h1.updated(isp), history_update(h1, isp))
+        # the pattern step is the next history round
+        h2 = h1.step(isp)
+        assert h2.rounds == (isp, isp)
+        assert models_bisimilar(h2, history_update(h1, isp))
 
 
 class TestInducedChain:

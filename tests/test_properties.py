@@ -3,13 +3,15 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from epiupdate import (
-    Atom, CommPattern, EpistemicModel, Var, action_update, announce,
+    ActionBox, Atom, CommPattern, EpistemicModel, Var, action_update, announce,
     apply_induced, bisimilar, compose, description, enumerate_graphs,
     full_interpreted_system, group_relation, induced_action_model,
     is_interpreted_system, is_local, isomorphic, max_collective_bisimulation,
     minimize, models_bisimilar, pattern_update, satisfies, skip_model,
-    whether_announce,
+    whether_announce, knows,
 )
+
+from genlib import reference_sat
 
 AGENTS = ("a", "b")
 ATOM_POOL = [Atom("p", "a"), Atom("q", "a"), Atom("p", "b")]
@@ -134,6 +136,25 @@ def test_descriptions_pin_down_valuations(m):
         for v in m.worlds:
             expected = (m.valuation[v] & set(atoms)) == mine
             assert satisfies(m, v, d) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_models(max_worlds=4),
+       st.sampled_from(ATOM_POOL), st.sampled_from(ATOM_POOL), st.booleans())
+def test_evaluator_agrees_with_pointwise_reference(m, x, y, whether):
+    # the formulas of the laws above: descriptions, and announcements
+    # composed into one action model
+    u = whether_announce(Var(x), AGENTS) if whether else announce(Var(x), AGENTS)
+    c = compose(u, announce(Var(y), AGENTS))
+    formulas = [description(m.valuation[w] & set(ATOM_POOL), ATOM_POOL) for w in m.worlds]
+    formulas += [c.pre[e] for e in c.actions]
+    formulas += [ActionBox(c, e, knows(a, Var(x))) for e in c.actions for a in AGENTS]
+    steps = {}
+    for f in formulas:
+        for w in m.worlds:
+            assert satisfies(m, w, f) == reference_sat(m, w, f, steps)
+    assert action_update(m, c).worlds == tuple(
+        (v, e) for v in m.worlds for e in c.actions if reference_sat(m, v, c.pre[e], steps))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from epiupdate import (
-    ActionUpdate, Atom, CommPattern, EpiupdateError, EpistemicModel,
-    MultiPointedActionModel, PatternUpdate, PointedModel, Var, announce,
+    ActionModel, ActionUpdate, Atom, CommPattern, EpiupdateError, EpistemicModel,
+    MultiPointedActionModel, Neg, PatternUpdate, PointedModel, Var, announce,
     bisimilar, check_circular_chain, disj, find_equivalent_pattern,
     fresh_variable_counterexample, full_interpreted_system,
     identity_graph, induced_action_model, minimize, models_bisimilar,
@@ -75,6 +75,43 @@ class TestUpdateResults:
         target = ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))
         trivial = PatternUpdate(CommPattern([identity_graph(AB)]))
         assert not update_equivalent_on([PointedModel(m, "w2")], trivial, target)
+
+
+class TestUpdateResultsOrder:
+    SCRIPT = (
+        "from epiupdate import ActionModel, ActionUpdate, MultiPointedActionModel,"
+        " PointedModel, update_results\n"
+        "from epiupdate.formulas import TRUE\n"
+        "from epiupdate.fixtures import sq_model\n"
+        "acts = ['e1', 'e2', 'e3']\n"
+        "u = ActionModel(acts, {a: [[e] for e in acts] for a in 'ab'},"
+        " {e: TRUE for e in acts})\n"
+        "spec = ActionUpdate(MultiPointedActionModel(u, frozenset(acts)))\n"
+        "print([r.point for r in update_results(spec, PointedModel(sq_model(), '11'))])\n")
+
+    def test_action_results_in_model_order_under_any_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import epiupdate
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        outs = [subprocess.run([sys.executable, "-c", self.SCRIPT], check=True,
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                               ).stdout
+                for seed in ("0", "1", "3")]
+        assert outs == ["[('11', 'e1'), ('11', 'e2'), ('11', 'e3')]\n"] * 3
+
+    def test_only_live_points_kept(self):
+        acts = ["e1", "e2", "e3"]
+        pre = {"e1": Var(P_A), "e2": Var(P_A), "e3": Neg(Var(P_A))}
+        u = ActionModel(acts, {a: [[e] for e in acts] for a in AB}, pre)
+        spec = ActionUpdate(MultiPointedActionModel(u, frozenset(["e3", "e1"])))
+        results = update_results(spec, PointedModel(sq_model(), "11"))
+        assert [r.point for r in results] == [("11", "e1")]
+        results = update_results(spec, PointedModel(sq_model(), "01"))
+        assert [r.point for r in results] == [("01", "e3")]
 
 
 class TestUpdateResultsMemo:
