@@ -14,7 +14,7 @@ from .comm import CommPattern
 from .errors import EpiupdateError
 from .formulas import Conj, Formula, ActionBox, description, has_dynamic
 from .models import (
-    EpistemicModel, _Partitioned, atom_key, ensure_capacity, partition_by, world_name,
+    EpistemicModel, _Partitioned, atom_key, ensure_capacity, labels_by, world_name,
 )
 
 
@@ -28,20 +28,20 @@ class ActionModel(_Partitioned):
     """
 
     def __init__(self, actions, relations, pre, agents=None, name=None):
-        actions, relations, agents = self._validated(actions, relations, agents, "action")
+        actions, labels, agents = self._validated(actions, relations, agents, "action")
         pre = {e: pre[e] for e in actions}
         for e in actions:
             if has_dynamic(pre[e]):
                 raise ValueError(
                     f"precondition of action {e!r} contains a dynamic modality")
-        self._assign(actions, relations, pre, agents, name)
+        self._assign(actions, labels, pre, agents, name)
 
-    def _assign(self, actions: tuple, relations: dict, pre: dict, agents: tuple,
+    def _assign(self, actions: tuple, labels: dict, pre: dict, agents: tuple,
                 name=None):
-        """The trusted path: ``relations`` in the form of
-        :func:`~epiupdate.models.partition_by`, ``pre`` in action order,
+        """The trusted path: ``labels`` per agent in the form of
+        :func:`~epiupdate.models.labels_by`, ``pre`` in action order,
         ``agents`` sorted."""
-        self._assign_partitions(actions, relations, agents)
+        self._assign_partitions(actions, labels, agents)
         self.actions = actions
         self.action_set = frozenset(actions)
         self.pre = pre
@@ -83,17 +83,17 @@ def action_update(model: EpistemicModel, action_model: ActionModel) -> Epistemic
     ensure_capacity(len(model.worlds) * len(action_model.actions))
 
     memo = {}
-    live = {e: extension(model, action_model.pre[e], memo) for e in action_model.actions}
-    worlds = tuple((v, e) for v in model.worlds for e in action_model.actions
-                   if v in live[e])
+    actions = action_model.actions
+    live = [extension(model, action_model.pre[e], memo) for e in actions]
+    pairs = [(i, j) for i, v in enumerate(model.worlds) for j, ext in enumerate(live) if v in ext]
+    worlds = tuple((model.worlds[i], actions[j]) for i, j in pairs)
     valuation = {(v, e): model.valuation[v] for (v, e) in worlds}
 
-    relations = {}
+    labels = {}
     for a in model.agents:
-        wmap = model.block_map(a)
-        emap = action_model.block_map(a)
-        relations[a] = partition_by(worlds, lambda ve: (wmap[ve[0]], emap[ve[1]]))
-    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
+        wl, el = model.labels[a], action_model.labels[a]
+        labels[a] = labels_by((wl[i], el[j]) for i, j in pairs)
+    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)
 
 
 # larger induced models are applied lazily (apply_induced, induced_chain)
@@ -121,15 +121,11 @@ def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
     actions = tuple((g, q) for g in pattern.graphs for q in subsets)
     pre = {(g, q): description(q, atom_list) for (g, q) in actions}
     agents = tuple(sorted(pattern.agents))
-    relations = {a: partition_by(actions, lambda gq: _heard_key(a, *gq)) for a in agents}
+    # what an agent receives in an action: its senders and their atoms
+    labels = {a: labels_by((g.heard[a], _heard_atoms(g.heard[a], q)) for g, q in actions)
+              for a in agents}
     label = f"U({pattern.name})" if pattern.name else None
-    return ActionModel._trusted(actions, relations, pre, agents, label)
-
-
-def _heard_key(agent, graph, fired):
-    """What ``agent`` receives in an induced action: its senders and their atoms."""
-    senders = graph.heard[agent]
-    return senders, _heard_atoms(senders, fired)
+    return ActionModel._trusted(actions, labels, pre, agents, label)
 
 
 def _heard_atoms(senders, fired):
@@ -149,30 +145,20 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
     atom_set = frozenset(atoms)
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
-    fired = {v: model.valuation[v] & atom_set for v in model.worlds}
-    worlds = tuple((v, (g, fired[v])) for v in model.worlds for g in pattern.graphs)
-    valuation = {(v, act): model.valuation[v] for (v, act) in worlds}
+    fired = [val & atom_set for val in model.valuation.values()]
+    worlds = tuple((v, (g, q)) for v, q in zip(model.worlds, fired)
+                   for g in pattern.graphs)
+    valuation = dict(zip(worlds, (val for val in model.valuation.values()
+                                  for _ in pattern.graphs)))
 
-    # The blocks partition_by gives for the key (block of v, *_heard_key),
-    # in the same order.  Worlds run source by source, graphs in pattern
-    # order; the heard atoms depend only on the fired valuation and the
-    # sender set, so each pair of those is computed once per call.
-    heard_atoms = {}
-    relations = {}
+    senders = {g.heard[a] for g in pattern.graphs for a in model.agents}
+    heard = {(q, s): _heard_atoms(s, q) for q in set(fired) for s in senders}
+    labels = {}
     for a in model.agents:
-        wmap = model.block_map(a)
-        heard = [g.heard[a] for g in pattern.graphs]
-        cells = {}
-        products = iter(worlds)
-        for v in model.worlds:
-            blk, q = wmap[v], fired[v]
-            for s in heard:
-                h = heard_atoms.get((q, s))
-                if h is None:
-                    h = heard_atoms[q, s] = _heard_atoms(s, q)
-                cells.setdefault((blk, s, h), []).append(next(products))
-        relations[a] = tuple(frozenset(c) for c in cells.values())
-    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
+        graph_senders = [g.heard[a] for g in pattern.graphs]
+        labels[a] = labels_by((b, s, heard[q, s]) for b, q in zip(model.labels[a], fired)
+                              for s in graph_senders)
+    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)
 
 
 def compose(first: ActionModel, second: ActionModel) -> ActionModel:
@@ -188,12 +174,9 @@ def compose(first: ActionModel, second: ActionModel) -> ActionModel:
     actions = tuple((e, f) for e in first.actions for f in second.actions)
     pre = {(e, f): Conj(first.pre[e], ActionBox(first, e, second.pre[f]))
            for (e, f) in actions}
-    relations = {}
-    for a in first.agents:
-        emap = first.block_map(a)
-        fmap = second.block_map(a)
-        relations[a] = partition_by(actions, lambda ef: (emap[ef[0]], fmap[ef[1]]))
-    return ActionModel._trusted(actions, relations, pre, first.agents)
+    labels = {a: labels_by((x, y) for x in first.labels[a] for y in second.labels[a])
+              for a in first.agents}
+    return ActionModel._trusted(actions, labels, pre, first.agents)
 
 
 def skip_model(agents, name="skip") -> ActionModel:
@@ -233,6 +216,4 @@ def model_as_action_model(model: EpistemicModel, atoms, name=None) -> ActionMode
         raise EpiupdateError("two worlds share a name, so they cannot name two actions")
     pre = {names[w]: description(model.valuation[w] & frozenset(atom_list), atom_list)
            for w in model.worlds}
-    relations = {a: tuple(frozenset(names[w] for w in blk) for blk in model.relations[a])
-                 for a in model.agents}
-    return ActionModel._trusted(tuple(names.values()), relations, pre, model.agents, name)
+    return ActionModel._trusted(tuple(names.values()), model.labels, pre, model.agents, name)

@@ -13,9 +13,9 @@ distinguishing depths are exact.  Within a round it re-signs only the
 nodes next to a split of the round before: the members of every group
 class that holds a relabelled node.  A split block keeps its id on its
 largest part and only the smaller parts are relabelled (Hopcroft's
-smaller-half rule), so a node is relabelled O(log n) times.  Group
-relations that are the identity are dropped, since a singleton class
-never splits a block.
+smaller-half rule), so a node is relabelled O(log n) times.  A group's
+classes are each model's :func:`~epiupdate.models.group_labels`; a group
+relation that is the identity is dropped, as a singleton never splits.
 
 Isomorphism runs on the same engine in counting mode, where a class meets
 a multiset of blocks rather than a set (colour refinement); the colours
@@ -35,7 +35,7 @@ from itertools import combinations
 
 from .errors import EpiupdateError
 from .models import (
-    EpistemicModel, PointedModel, group_blocks, partition_by, world_name,
+    EpistemicModel, PointedModel, blocks_of, group_labels, labels_by, world_name,
 )
 
 
@@ -79,52 +79,30 @@ def _refine(models, max_rounds=None, watch=None, counting=False):
         if m.agents != agents:
             raise ValueError("bisimulation checks require a shared agent set")
 
-    # per agent group, the class id of every node and the class count; ids
-    # are offset per model so that classes of different models never share one
-    classes = {}
-    for a in agents:
-        col, offset = [], 0
-        for m in models:
-            bm = m.block_map(a)
-            col.extend([offset + bm[w] for w in m.worlds])
-            offset += len(m.relations[a])
-        classes[(a,)] = col, offset
-
     # initial partition: equal valuation (valuations are stored in world order)
-    val_ids: dict[frozenset, int] = {}
-    labels = [val_ids.setdefault(val, len(val_ids))
-              for m in models for val in m.valuation.values()]
+    labels = labels_by(val for m in models for val in m.valuation.values())
     if watch is not None and labels[watch[0]] != labels[watch[1]]:
         return labels, 0
     n = len(labels)
     label_of = labels.__getitem__
     meet = (lambda ls: frozenset(Counter(ls).items())) if counting else frozenset
-    blocks: list[set[int]] = [set() for _ in val_ids]
-    for k, b in enumerate(labels):
-        blocks[b].add(k)
+    blocks = list(map(set, blocks_of(range(n), labels)))
 
     # one column per agent group that is not the identity (a singleton class
     # meets only its own block, so it never splits one): the class id of
-    # every node, the members of every class and the set of blocks each
-    # class meets.  A group's class pairs the classes of the group without
-    # its last agent and of that agent, so a group whose smaller group is
-    # the identity is the identity too.
+    # every node, offset per model so that classes of different models
+    # never share one, the members of every class and the set of blocks
+    # each class meets
     columns = []
     for group in _agent_groups(agents):
-        if group not in classes:
-            arr, count = classes[group[:-1]]
-            if count < n:
-                ids: dict[tuple, int] = {}
-                arr = [ids.setdefault(key, len(ids))
-                       for key in zip(arr, classes[group[-1:]][0])]
-                count = len(ids)
-            classes[group] = arr, count
-        arr, count = classes[group]
+        arr, count = [], 0
+        for m in models:
+            classes = group_labels(m, group)
+            arr += [count + c for c in classes]
+            count += max(classes, default=-1) + 1
         if count == n:
             continue
-        members: list[list[int]] = [[] for _ in range(count)]
-        for k, c in enumerate(arr):
-            members[c].append(k)
+        members = blocks_of(range(n), arr)
         meets = [meet(map(label_of, mem)) for mem in members]
         columns.append((arr, members, meets))
 
@@ -189,7 +167,7 @@ def _refine(models, max_rounds=None, watch=None, counting=False):
 def max_collective_bisimulation(model: EpistemicModel) -> tuple:
     """Coarsest auto-bisimulation of a model, blocks in order of first world."""
     labels, _ = _refine([model])
-    return partition_by(model.worlds, lambda w: labels[model._index[w]])
+    return blocks_of(model.worlds, labels_by(labels))
 
 
 def pointed_classes(points) -> list:
@@ -299,25 +277,28 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     """
     if model.is_empty:
         return model
-    blocks = max_collective_bisimulation(model)
-    worlds = tuple(min(blk, key=model._index.__getitem__) for blk in blocks)
-    rep_of_world = {w: r for r, blk in zip(worlds, blocks) for w in blk}
-    valuation = {r: model.valuation[r] for r in worlds}
-    relations = {}
+    labels, _ = _refine([model])
+    classes = labels_by(labels)  # class k is quotient world k
+    reps = [min(members) for members in blocks_of(range(len(classes)), classes)]
+    worlds = tuple(model.worlds[i] for i in reps)
+    valuation = {w: model.valuation[w] for w in worlds}
+    quotient_labels = {}
     for a in model.agents:
-        # a quotient block is the image of an agent block; bisimilar worlds
-        # see the same classes, so two images are equal or disjoint
-        bm = model.block_map(a)
-        images = [frozenset(rep_of_world[w] for w in blk) for blk in model.relations[a]]
-        relations[a] = partition_by(worlds, lambda r: images[bm[r]])
-    quotient = EpistemicModel._trusted(worlds, relations, valuation, model.agents)
-    _require_group_images(model, quotient, rep_of_world)
+        # a quotient block is the image of an agent block, the classes of its
+        # worlds; bisimilar worlds see the same classes, so two images are
+        # equal or disjoint
+        own = model.labels[a]
+        images = blocks_of(classes, own)
+        quotient_labels[a] = labels_by(images[own[i]] for i in reps)
+    quotient = EpistemicModel._trusted(worlds, quotient_labels, valuation, model.agents)
+    _require_group_images(model, quotient, classes)
     return quotient
 
 
-def _require_group_images(model, quotient, rep_of_world) -> None:
+def _require_group_images(model, quotient, classes) -> None:
     """Raise unless each group block of the model maps onto a whole group
-    block of the quotient.
+    block of the quotient (``classes`` maps each world's index to its
+    quotient world's).
 
     The image of a group block lies inside one group block of the quotient
     (its members are related by every agent of the group).  If it is
@@ -327,21 +308,20 @@ def _require_group_images(model, quotient, rep_of_world) -> None:
     """
     if len(quotient.worlds) == len(model.worlds):
         return  # no two worlds merged: the quotient is the model itself
-    order = quotient._index.__getitem__
     for group in _agent_groups(model.agents):
         if len(group) < 2:
             continue
-        qblocks, qmap = group_blocks(quotient, group)
-        for blk in group_blocks(model, group)[0]:
-            reps = {rep_of_world[w] for w in blk}
-            r = min(reps, key=order)
-            whole = qblocks[qmap[r]]
-            if len(reps) < len(whole):
-                s = min(whole - reps, key=order)
+        whole = group_labels(quotient, group)
+        sizes = Counter(whole)
+        for reps in blocks_of(classes, group_labels(model, group)):
+            r = min(reps)
+            if len(reps) < sizes[whole[r]]:
+                s = min(k for k, c in enumerate(whole) if c == whole[r] and k not in reps)
                 raise EpiupdateError(
                     f"minimize: no model without bisimilar worlds is bisimilar to "
                     f"this one: the quotient's D{{{','.join(group)}}} would relate "
-                    f"{world_name(r)} and {world_name(s)}, but no such block of the "
+                    f"{world_name(quotient.worlds[r])} and "
+                    f"{world_name(quotient.worlds[s])}, but no such block of the "
                     f"model meets both their classes")
 
 
@@ -365,9 +345,7 @@ def isomorphic(model: EpistemicModel, other: EpistemicModel) -> bool:
     sizes = [len(by_colour[label]) for label in labels[:n]]
     order = sorted(range(n), key=sizes.__getitem__)
     # per agent: each world's block on both sides, and the block maps so far
-    cols = [(list(map(model.block_map(a).__getitem__, model.worlds)),
-             list(map(other.block_map(a).__getitem__, other.worlds)), {}, {})
-            for a in model.agents]
+    cols = [(model.labels[a], other.labels[a], {}, {}) for a in model.agents]
 
     used = [False] * n
     paired = []  # per paired world of order: its partner, the block pairs it fixed

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EpiupdateError
-from .models import EpistemicModel, ensure_capacity, group_blocks, partition_by
+from .models import EpistemicModel, ensure_capacity, group_labels, labels_by
 
 
 class CommGraph:
@@ -221,11 +221,11 @@ def pattern_update(model: EpistemicModel, pattern: CommPattern) -> EpistemicMode
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
     worlds = tuple((w, g) for w in model.worlds for g in pattern.graphs)
-    valuation = {(w, g): model.valuation[w] for (w, g) in worlds}
+    valuation = dict(zip(worlds, (v for v in model.valuation.values() for _ in pattern.graphs)))
 
-    relations = {}
+    labels = {}
     for a in model.agents:
-        heard = {g: g.heard[a] for g in pattern.graphs}
-        meets = {g: group_blocks(model, heard[g])[1] for g in pattern.graphs}
-        relations[a] = partition_by(worlds, lambda wg: (heard[wg[1]], meets[wg[1]][wg[0]]))
-    return EpistemicModel._trusted(worlds, relations, valuation, model.agents)
+        heard = [(g.heard[a], group_labels(model, g.heard[a])) for g in pattern.graphs]
+        labels[a] = labels_by((h, meet[i]) for i in range(len(model.worlds))
+                              for h, meet in heard)
+    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)

@@ -176,25 +176,40 @@ def modal_depth(f: Formula) -> int:
     """Nesting depth of knowledge modalities.
 
     Pattern modalities do not add depth; an action modality adds the depth
-    of the action model (the maximum depth of its preconditions).
+    of the action model (the maximum depth of its preconditions).  Each
+    distinct node object is measured once, as in :func:`subformulas`.
     """
-    if isinstance(f, (Var, Top)):
-        return 0
-    if isinstance(f, Neg):
-        return modal_depth(f.sub)
-    if isinstance(f, Conj):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, DKnow):
-        return modal_depth(f.sub) + 1
-    if isinstance(f, PatternBox):
-        return modal_depth(f.sub)
-    if isinstance(f, ActionBox):
-        return action_model_depth(f.model) + modal_depth(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    return _depth(f, {})
 
 
 def action_model_depth(model) -> int:
-    return max((modal_depth(model.pre[e]) for e in model.actions), default=0)
+    return _model_depth(model, {})
+
+
+def _depth(f: Formula, memo: dict) -> int:
+    # keyed by identity: the sugar shares operand objects, while formula
+    # hashes are recursive and uncached
+    key = id(f)
+    if key in memo:
+        return memo[key]
+    if isinstance(f, (Var, Top)):
+        depth = 0
+    elif isinstance(f, (Neg, PatternBox)):
+        depth = _depth(f.sub, memo)
+    elif isinstance(f, Conj):
+        depth = max(_depth(f.left, memo), _depth(f.right, memo))
+    elif isinstance(f, DKnow):
+        depth = _depth(f.sub, memo) + 1
+    elif isinstance(f, ActionBox):
+        depth = _model_depth(f.model, memo) + _depth(f.sub, memo)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[key] = depth
+    return depth
+
+
+def _model_depth(model, memo: dict) -> int:
+    return max((_depth(model.pre[e], memo) for e in model.actions), default=0)
 
 
 def subformulas(f: Formula):

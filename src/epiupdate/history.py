@@ -222,11 +222,11 @@ class HistoryModel(EpistemicModel):
     """
 
     def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):
-        self._assign(model.worlds, model.relations, model.valuation, model.agents,
+        self._assign(model.worlds, model.labels, model.valuation, model.agents,
                      base, rounds)
 
-    def _assign(self, worlds, relations, valuation, agents, base, rounds):
-        super()._assign(worlds, relations, valuation, agents)
+    def _assign(self, worlds, labels, valuation, agents, base, rounds):
+        super()._assign(worlds, labels, valuation, agents)
         self.base = base
         self.rounds = tuple(rounds)
 
@@ -263,7 +263,7 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     """
     plain = pattern_update(h, pattern)
     valuation = _round_valuation(plain, h, h.round, lambda g: g)
-    return HistoryModel._trusted(plain.worlds, plain.relations, valuation, plain.agents,
+    return HistoryModel._trusted(plain.worlds, plain.labels, valuation, plain.agents,
                                  h.base, h.rounds + (pattern,))
 
 
@@ -363,7 +363,7 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
 
     plain = apply_induced(model, pattern, atoms)
     valuation = _round_valuation(plain, model, rounds_so_far, lambda act: act[0])
-    return EpistemicModel._trusted(plain.worlds, plain.relations, valuation, plain.agents)
+    return EpistemicModel._trusted(plain.worlds, plain.labels, valuation, plain.agents)
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:

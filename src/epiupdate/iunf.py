@@ -24,42 +24,61 @@ def iunf_translate(f: Formula) -> Formula:
 
     Only defined for pattern-only formulas; action-model modalities are
     rejected.  The result may have different modal depth than the input;
-    the contract is logical equivalence plus the normal-form shape.
+    the contract is logical equivalence plus the normal-form shape.  Each
+    distinct node is translated once and pushed once per graph, so a chain
+    of ``<->`` takes linear time (printing it stays exponential).
     """
+    return _translate(f, {})
+
+
+def _translate(f: Formula, memo: dict) -> Formula:
+    # the memo's keys are identities of nodes that it or the input keeps alive
+    key = id(f)
+    if key in memo:
+        return memo[key]
     if isinstance(f, Var) or isinstance(f, Top):
-        return f
-    if isinstance(f, Neg):
-        return Neg(iunf_translate(f.sub))
-    if isinstance(f, Conj):
-        return Conj(iunf_translate(f.left), iunf_translate(f.right))
-    if isinstance(f, DKnow):
-        return DKnow(f.group, iunf_translate(f.sub))
-    if isinstance(f, PatternBox):
-        return _push(f.pattern, f.graph, iunf_translate(f.sub))
-    if isinstance(f, ActionBox):
+        out = f
+    elif isinstance(f, Neg):
+        out = Neg(_translate(f.sub, memo))
+    elif isinstance(f, Conj):
+        out = Conj(_translate(f.left, memo), _translate(f.right, memo))
+    elif isinstance(f, DKnow):
+        out = DKnow(f.group, _translate(f.sub, memo))
+    elif isinstance(f, PatternBox):
+        out = _push(f.pattern, f.graph, _translate(f.sub, memo), memo)
+    elif isinstance(f, ActionBox):
         raise EpiupdateError("the normal form is defined for pattern-only formulas")
-    raise TypeError(f"not a formula: {f!r}")
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[key] = out
+    return out
 
 
-def _push(pattern: CommPattern, graph: CommGraph, body: Formula) -> Formula:
+def _push(pattern: CommPattern, graph: CommGraph, body: Formula, memo: dict) -> Formula:
     """Push one pattern modality through a body already in normal form."""
+    key = (id(pattern), id(graph), id(body))
+    if key in memo:
+        return memo[key]
     if isinstance(body, (Var, Top, PatternBox)):
-        return PatternBox(pattern, graph, body)
-    if isinstance(body, Neg):
-        return Neg(_push(pattern, graph, body.sub))
-    if isinstance(body, Conj):
-        return Conj(_push(pattern, graph, body.left),
-                    _push(pattern, graph, body.right))
-    if isinstance(body, DKnow):
+        out = PatternBox(pattern, graph, body)
+    elif isinstance(body, Neg):
+        out = Neg(_push(pattern, graph, body.sub, memo))
+    elif isinstance(body, Conj):
+        out = Conj(_push(pattern, graph, body.left, memo),
+                   _push(pattern, graph, body.right, memo))
+    elif isinstance(body, DKnow):
         # graphs in which every group member hears from the same agents
         # are indistinguishable for the group
         members = sorted(body.group)
         profile = [graph.heard[a] for a in members]
         alternatives = [g for g in pattern.graphs
                         if [g.heard[a] for a in members] == profile]
-        return conj(*(DKnow(frozenset().union(*profile), _push(pattern, g, body.sub))
-                      for g in alternatives))
-    raise TypeError(f"not a formula: {body!r}")
+        out = conj(*(DKnow(frozenset().union(*profile), _push(pattern, g, body.sub, memo))
+                     for g in alternatives))
+    else:
+        raise TypeError(f"not a formula: {body!r}")
+    memo[key] = out
+    return out
 
 
 def is_iunf(f: Formula) -> bool:

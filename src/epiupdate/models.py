@@ -2,8 +2,12 @@
 
 Each agent's indistinguishability relation is stored as a partition of the
 worlds, so reflexivity, symmetry and transitivity hold by construction.
-Models are immutable after construction; every operation here is a pure
-function of its inputs and results can be shared freely across tasks.
+The partition is indexed once, as ``labels[agent]``: each world's block
+number in world order, blocks numbered by their first world.  The block
+tuple ``relations[agent]`` and every group meet (:func:`group_labels`) are
+derived from it.  Models are immutable after construction; every
+operation here is a pure function of its inputs and results can be shared
+freely across tasks.
 
 Locality is enforced: two worlds an agent cannot tell apart must agree on
 all atoms owned by that agent.
@@ -13,18 +17,19 @@ user code and JSON loading call, check identifiers, partitions, atom
 owners and locality, and fail with a diagnostic.  Products built inside
 the package (pattern and action-model updates, induced models, history
 rounds, quotients, interpreted systems) take the trusted ``_trusted``
-path, which only sets fields.  They are valid by construction: their
-blocks come from :func:`partition_by`, so they partition the elements in
-first-element order; atoms and their owners come from valid inputs; and
-every product relates two worlds for an agent only when the agent could
-not tell their sources apart either, so a product of a local model is
-local.  The test suite rebuilds every product through the public
-constructors to check this.
+path, which only sets fields.  They are valid by construction: they hand
+over labels from :func:`labels_by`, computed by position from the labels
+of their inputs, so blocks are numbered by first element; atoms and their
+owners come from valid inputs; and every product relates two worlds for
+an agent only when the agent could not tell their sources apart either,
+so a product of a local model is local.  The test suite rebuilds every
+product through the public constructors to check this.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 from .errors import (
@@ -101,18 +106,19 @@ def atom_key(atom) -> str:
     return id_name() if id_name else str(atom)
 
 
-def partition_by(elements, key) -> tuple:
-    """The blocks of elements with equal ``key(x)``, as frozensets in order
-    of their first element: the block form the trusted path takes."""
-    cells: dict = {}
-    for x in elements:
-        cells.setdefault(key(x), []).append(x)
-    return tuple(frozenset(c) for c in cells.values())
+def labels_by(keys) -> list:
+    """Each key's block number, blocks numbered in order of their first
+    key: the partition form the trusted path takes."""
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
 
 
-def _block_index(blocks) -> dict:
-    """element -> index of its block."""
-    return {x: i for i, blk in enumerate(blocks) for x in blk}
+def blocks_of(elements, labels) -> tuple:
+    """Per label in order, the frozenset of the elements at its positions."""
+    cells: list[list] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for x, b in zip(elements, labels):
+        cells[b].append(x)
+    return tuple(map(frozenset, cells))
 
 
 class _Partitioned:
@@ -122,7 +128,8 @@ class _Partitioned:
     user input; ``_trusted`` builds an instance from fields that are valid
     by construction.  Both end in the subclass's ``_assign``, which only
     sets fields, so the public constructor is validation followed by the
-    trusted path.
+    trusted path.  ``labels`` lists must not be changed after they are
+    handed over: products and group meets share them.
     """
 
     @classmethod
@@ -134,9 +141,9 @@ class _Partitioned:
 
     @classmethod
     def _validated(cls, elements, relations, agents, noun: str) -> tuple:
-        """``(elements, relations, agents)`` checked and in the trusted form:
-        a tuple, each agent's blocks as a tuple of frozensets in order of
-        first element, and the sorted agents."""
+        """``(elements, labels, agents)`` checked and in the trusted form:
+        a tuple, each agent's labels from :func:`labels_by`, and the
+        sorted agents."""
         elems = tuple(elements)
         index = {x: i for i, x in enumerate(elems)}
         if len(index) != len(elems):
@@ -147,42 +154,40 @@ class _Partitioned:
             agents = _sorted_agents(agents)
             if set(relations) != set(agents):
                 raise ValueError("relations must cover exactly the agent set")
-        blocks = {a: cls._sorted_blocks(a, relations[a], index, noun) for a in agents}
-        return elems, blocks, agents
+        labels = {a: cls._block_labels(a, relations[a], index, noun) for a in agents}
+        return elems, labels, agents
 
-    def _assign_partitions(self, elements: tuple, relations: dict, agents: tuple) -> None:
+    def _assign_partitions(self, elements: tuple, labels: dict, agents: tuple) -> None:
         self._index = {x: i for i, x in enumerate(elements)}
-        self.relations = relations
+        self.labels = labels
         self.agents = agents
-        self._block_maps: dict[str, dict] = {}
+
+    @cached_property
+    def relations(self) -> dict:
+        """Each agent's blocks as frozensets, in the order of their labels;
+        derived on first use, since many products are only read by label."""
+        # the index lists the elements in order
+        return {a: blocks_of(self._index, self.labels[a]) for a in self.agents}
 
     @staticmethod
-    def _sorted_blocks(agent, blocks, index: dict, noun: str) -> tuple:
-        """Validate one agent's blocks, then sort them by first element."""
-        seen = set()
-        out = []
-        for b in blocks:
+    def _block_labels(agent, blocks, index: dict, noun: str) -> list:
+        """Validate one agent's blocks, then label each element with its
+        block, blocks numbered by first element."""
+        given: dict = {}
+        for i, b in enumerate(blocks):
             blk = frozenset(b)
             if not blk:
                 raise ValueError(f"empty block in relation of agent {agent}")
-            if not seen.isdisjoint(blk):
+            if not given.keys().isdisjoint(blk):
                 raise ValueError(f"overlapping blocks in relation of agent {agent}")
-            seen |= blk
-            out.append(blk)
-        if seen != index.keys():
-            unknown = sorted(repr(x) for x in seen if x not in index)
+            given.update(dict.fromkeys(blk, i))
+        if given.keys() != index.keys():
+            unknown = sorted(repr(x) for x in given if x not in index)
             if unknown:
                 raise ValueError(f"relation of agent {agent} names unknown "
                                  f"{noun} {unknown[0]}")
             raise ValueError(f"relation of agent {agent} does not cover all {noun}s")
-        return tuple(sorted(out, key=lambda blk: min(index[x] for x in blk)))
-
-    def block_map(self, agent) -> dict:
-        """element -> index of its block in ``relations[agent]``."""
-        m = self._block_maps.get(agent)
-        if m is None:
-            m = self._block_maps[agent] = _block_index(self.relations[agent])
-        return m
+        return labels_by(map(given.__getitem__, index))
 
 
 class EpistemicModel(_Partitioned):
@@ -197,12 +202,12 @@ class EpistemicModel(_Partitioned):
     __hash__ = object.__hash__
 
     def __init__(self, worlds, relations, valuation, agents=None):
-        worlds, relations, agents = self._validated(worlds, relations, agents, "world")
+        worlds, labels, agents = self._validated(worlds, relations, agents, "world")
         if not agents:
             raise ValueError("agent set must be nonempty")
         valuation = {w: frozenset(valuation.get(w, ())) for w in worlds}
         self._validate_owners(valuation, agents)
-        self._assign(worlds, relations, valuation, agents)
+        self._assign(worlds, labels, valuation, agents)
         bad = _locality_violation(self)
         if bad is not None:
             a, first, w = bad
@@ -212,16 +217,17 @@ class EpistemicModel(_Partitioned):
                 f"{a}-owned atoms"
             )
 
-    def _assign(self, worlds: tuple, relations: dict, valuation: dict, agents: tuple):
-        """The trusted path: ``relations`` in the form of :func:`partition_by`,
-        ``valuation`` a frozenset per world in world order, ``agents`` sorted."""
-        self._assign_partitions(worlds, relations, agents)
+    def _assign(self, worlds: tuple, labels: dict, valuation: dict, agents: tuple):
+        """The trusted path: ``labels`` per agent in the form of
+        :func:`labels_by`, ``valuation`` a frozenset per world in world
+        order, ``agents`` sorted."""
+        self._assign_partitions(worlds, labels, agents)
         self.worlds = worlds
         self.valuation = valuation
 
         # per-instance caches; values are deterministic, so a racy double
         # computation is harmless
-        self._group_cache: dict[frozenset, tuple] = {}
+        self._group_cache: dict[frozenset, list] = {}
         self._locals_cache: dict = {}
         self._name_map = None
 
@@ -260,7 +266,7 @@ class EpistemicModel(_Partitioned):
             raise UnknownNameError(f"unknown world {world_name(w)}")
 
     def block_of(self, agent, world) -> frozenset:
-        return self.relations[agent][self.block_map(agent)[world]]
+        return self.relations[agent][self.labels[agent][self._index[world]]]
 
     def locals_at(self, world) -> dict:
         """The world's valuation grouped by owning agent (computed once)."""
@@ -334,8 +340,8 @@ def _locality_violation(model: EpistemicModel):
     so the answer does not depend on the hash seed."""
     empty = frozenset()
     for a in model.agents:
-        for blk in model.relations[a]:
-            first, *rest = sorted(blk, key=model._index.__getitem__)
+        for blk in blocks_of(range(len(model.worlds)), model.labels[a]):
+            first, *rest = (model.worlds[i] for i in sorted(blk))
             ref = model.locals_at(first).get(a, empty)
             for w in rest:
                 if model.locals_at(w).get(a, empty) != ref:
@@ -357,19 +363,23 @@ def is_interpreted_system(model: EpistemicModel) -> bool:
     """
     empty = frozenset()
     return all(
-        partition_by(model.worlds, lambda w: model.locals_at(w).get(a, empty))
-        == model.relations[a]
+        labels_by(model.locals_at(w).get(a, empty) for w in model.worlds)
+        == model.labels[a]
         for a in model.agents)
 
 
 def group_relation(model: EpistemicModel, group) -> tuple:
-    """The partition for a nonempty agent group: the meet of the members' partitions."""
-    return group_blocks(model, group)[0]
+    """The partition for a nonempty agent group: the meet of the members'
+    partitions, as blocks in order of first world."""
+    b = frozenset(group)
+    labels = group_labels(model, b)
+    return model.relations[min(b)] if len(b) == 1 else blocks_of(model.worlds, labels)
 
 
-def group_blocks(model: EpistemicModel, group) -> tuple:
-    """``(blocks, block_of)``: the group relation and the map from each
-    world to the index of its block, computed once per model and group."""
+def group_labels(model: EpistemicModel, group) -> list:
+    """The labels of a nonempty agent group's relation, computed once per
+    model and group.  A group's class pairs its class without its last
+    agent (in name order) with its block of that agent."""
     b = frozenset(group)
     if not b:
         raise ValueError("agent group must be nonempty")
@@ -378,13 +388,10 @@ def group_blocks(model: EpistemicModel, group) -> tuple:
         raise UnknownNameError(f"unknown agents in group: {sorted(unknown)}")
     hit = model._group_cache.get(b)
     if hit is None:
-        members = sorted(b)
-        if len(members) == 1:
-            hit = (model.relations[members[0]], model.block_map(members[0]))
-        else:
-            maps = [model.block_map(a) for a in members]
-            blocks = partition_by(model.worlds, lambda w: tuple(m[w] for m in maps))
-            hit = (blocks, _block_index(blocks))
+        *rest, last = sorted(b)
+        hit = model.labels[last]
+        if rest:
+            hit = labels_by(zip(group_labels(model, rest), hit))
         model._group_cache[b] = hit
     return hit
 
@@ -406,8 +413,7 @@ def full_interpreted_system(atoms, agents=()) -> EpistemicModel:
     worlds = tuple(format(bits, f"0{n}b") if n else "w" for bits in range(2 ** n))
     valuation = {w: frozenset(atoms[i] for i in range(n) if w[i] == "1")
                  for w in worlds}
-    relations = {
-        a: partition_by(worlds, lambda w: frozenset(p for p in valuation[w]
-                                                    if p.owner == a))
-        for a in ags}
-    return EpistemicModel._trusted(worlds, relations, valuation, ags)
+    labels = {a: labels_by(frozenset(p for p in valuation[w] if p.owner == a)
+                           for w in worlds)
+              for a in ags}
+    return EpistemicModel._trusted(worlds, labels, valuation, ags)

@@ -90,7 +90,7 @@ def reference_refine(models, max_rounds=None, watch=None, counting=False):
     for a in agents:
         col, offset = [], 0
         for m in models:
-            bm = m.block_map(a)
+            bm = {w: i for i, blk in enumerate(m.relations[a]) for w in blk}
             col.extend(offset + bm[w] for w in m.worlds)
             offset += len(m.relations[a])
         agent_col[a] = col

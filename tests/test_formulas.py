@@ -58,6 +58,25 @@ class TestModalDepth:
         g = ActionBox(deep, "ann", knows("b", Var(P_A)))
         assert modal_depth(g) == 3
 
+    def test_iff_chain_measured_once_per_node(self, monkeypatch):
+        # a chain of n links is a tree of 2^n nodes; counting calls shows
+        # that each distinct node is measured once
+        from epiupdate import formulas
+        from epiupdate.search import witness_round
+        f = Var(P_A)
+        for _ in range(40):
+            f = iff(f, knows("b", Var(P_B)))
+        nodes = len(list(subformulas(f)))
+        calls = []
+        depth = formulas._depth
+        monkeypatch.setattr(formulas, "_depth",
+                            lambda g, memo: calls.append(g) or depth(g, memo))
+        assert modal_depth(f) == 1
+        assert len(calls) <= 2 * nodes + 1
+        calls.clear()
+        assert witness_round(announce(f, ("a", "b"))) == 2
+        assert len(calls) <= 2 * nodes + 1
+
 
 class TestSugar:
     def test_disj_expansion(self):

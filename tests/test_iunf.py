@@ -57,6 +57,25 @@ class TestTranslationShape:
         assert iunf_translate(f) == f
         assert is_iunf(f)
 
+    def test_iff_chain_translated_once_per_node(self, monkeypatch):
+        # a chain of n links is a tree of 2^n nodes; counting calls shows
+        # that each node is translated once and pushed once per graph
+        from epiupdate import iunf
+        from epiupdate.formulas import iff, subformulas
+        isp = immediate_snapshot()
+        f = Var(P_A)
+        for _ in range(40):
+            f = iff(f, knows("b", Var(P_B)))
+        nodes = len(list(subformulas(f)))
+        calls = []
+        for name in ("_translate", "_push"):
+            real = getattr(iunf, name)
+            monkeypatch.setattr(iunf, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        t = iunf_translate(PatternBox(isp, graph("U", isp), f))
+        assert is_iunf(t)
+        assert len(calls) <= 2 * (1 + len(isp.graphs)) * nodes + 2
+
     def test_action_modalities_rejected(self):
         from epiupdate import skip_model
         from epiupdate.formulas import ActionBox

@@ -75,7 +75,7 @@ class TestLocality:
         assert is_local(byz_initial_model())
 
     def test_violation_detected(self):
-        uv = (frozenset({"u", "v"}),)
+        uv = [0, 0]  # one block holding u and v
         m = EpistemicModel._trusted(("u", "v"), {"a": uv, "b": uv},
                                     {"u": frozenset({P_A}), "v": frozenset()}, ("a", "b"))
         assert not is_local(m)
@@ -92,8 +92,9 @@ class TestLocality:
             if len(relations[a]) > 1:
                 i, j = sorted(rng.sample(range(len(relations[a])), 2))
                 relations[a][i] |= relations[a].pop(j)
-            unchecked = EpistemicModel._trusted(
-                m.worlds, {b: tuple(relations[b]) for b in m.agents}, m.valuation, m.agents)
+            labels = {b: [i for w in m.worlds for i, blk in enumerate(relations[b]) if w in blk]
+                      for b in m.agents}
+            unchecked = EpistemicModel._trusted(m.worlds, labels, m.valuation, m.agents)
             try:
                 EpistemicModel(m.worlds, relations, m.valuation, agents=m.agents)
             except LocalityError:
@@ -196,6 +197,16 @@ class TestModelBasics:
             EpistemicModel(["w"], {"a": [["w"]]}, {}, agents=["a", "a"])
         assert str(exc.value) == "duplicate agent 'a'"
 
+    def test_blocks_are_numbered_by_first_world(self):
+        # blocks given in any order come out in order of their first world,
+        # so label lists of equal partitions are equal
+        sq = sq_model()
+        m = EpistemicModel(sq.worlds, {a: reversed(sq.relations[a]) for a in sq.agents},
+                           sq.valuation)
+        assert m.labels == {"a": [0, 0, 1, 1], "b": [0, 1, 0, 1]}
+        assert m.relations == sq.relations
+        assert is_interpreted_system(m)
+
     def test_relations_must_partition(self):
         with pytest.raises(ValueError):
             EpistemicModel(["u", "v"], {"a": [["u"]]}, {})
@@ -246,6 +257,7 @@ class TestTrustedProducts:
         again = EpistemicModel(m.worlds, m.relations, m.valuation, agents=m.agents)
         assert again.worlds == m.worlds
         assert list(again.relations.items()) == list(m.relations.items())
+        assert again.labels == m.labels
         assert list(again.valuation.items()) == list(m.valuation.items())
 
     def assert_actions_rebuild(self, u, pre=None):
