@@ -87,13 +87,13 @@ def action_update(model: EpistemicModel, action_model: ActionModel) -> Epistemic
     live = [extension(model, action_model.pre[e], memo) for e in actions]
     pairs = [(i, j) for i, v in enumerate(model.worlds) for j, ext in enumerate(live) if v in ext]
     worlds = tuple((model.worlds[i], actions[j]) for i, j in pairs)
-    valuation = {(v, e): model.valuation[v] for (v, e) in worlds}
+    vals = tuple(model.vals[i] for i, _ in pairs)
 
     labels = {}
     for a in model.agents:
         wl, el = model.labels[a], action_model.labels[a]
         labels[a] = labels_by((wl[i], el[j]) for i, j in pairs)
-    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)
+    return EpistemicModel._trusted(worlds, labels, vals, model.agents)
 
 
 # larger induced models are applied lazily (apply_induced, induced_chain)
@@ -145,11 +145,10 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
     atom_set = frozenset(atoms)
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
-    fired = [val & atom_set for val in model.valuation.values()]
+    fired = [val & atom_set for val in model.vals]
     worlds = tuple((v, (g, q)) for v, q in zip(model.worlds, fired)
                    for g in pattern.graphs)
-    valuation = dict(zip(worlds, (val for val in model.valuation.values()
-                                  for _ in pattern.graphs)))
+    vals = tuple(val for val in model.vals for _ in pattern.graphs)
 
     senders = {g.heard[a] for g in pattern.graphs for a in model.agents}
     heard = {(q, s): _heard_atoms(s, q) for q in set(fired) for s in senders}
@@ -158,7 +157,7 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
         graph_senders = [g.heard[a] for g in pattern.graphs]
         labels[a] = labels_by((b, s, heard[q, s]) for b, q in zip(model.labels[a], fired)
                               for s in graph_senders)
-    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)
+    return EpistemicModel._trusted(worlds, labels, vals, model.agents)
 
 
 def compose(first: ActionModel, second: ActionModel) -> ActionModel:
@@ -211,9 +210,9 @@ def model_as_action_model(model: EpistemicModel, atoms, name=None) -> ActionMode
     atoms) as precondition; relations carry over.
     """
     atom_list = tuple(sorted(set(atoms), key=atom_key))
-    names = {w: world_name(w) for w in model.worlds}
-    if len(set(names.values())) < len(names):
+    names = tuple(map(world_name, model.worlds))
+    if len(set(names)) < len(names):
         raise EpiupdateError("two worlds share a name, so they cannot name two actions")
-    pre = {names[w]: description(model.valuation[w] & frozenset(atom_list), atom_list)
-           for w in model.worlds}
-    return ActionModel._trusted(tuple(names.values()), model.labels, pre, model.agents, name)
+    atom_set = frozenset(atom_list)
+    pre = {x: description(val & atom_set, atom_list) for x, val in zip(names, model.vals)}
+    return ActionModel._trusted(names, model.labels, pre, model.agents, name)

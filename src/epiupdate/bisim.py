@@ -79,8 +79,8 @@ def _refine(models, max_rounds=None, watch=None, counting=False):
         if m.agents != agents:
             raise ValueError("bisimulation checks require a shared agent set")
 
-    # initial partition: equal valuation (valuations are stored in world order)
-    labels = labels_by(val for m in models for val in m.valuation.values())
+    # initial partition: equal valuation
+    labels = labels_by(val for m in models for val in m.vals)
     if watch is not None and labels[watch[0]] != labels[watch[1]]:
         return labels, 0
     n = len(labels)
@@ -191,18 +191,22 @@ def _depth_one_key(model, world) -> tuple:
     Its valuation and, per nonempty agent group in ``_agent_groups``
     order, the set of valuations in its group class.  A group class is the
     point's block of the group without its last agent met with its block
-    of that agent, so only the point's own blocks are read.  Two points of
-    models with one agent set have equal keys iff they are 1-bisimilar.
+    of that agent, so only the point's own blocks are read, as positions
+    off the agents' labels.  Two points of models with one agent set have
+    equal keys iff they are 1-bisimilar.
     """
-    val = model.valuation
-    key = [val[world]]
+    vals = model.vals
+    i = model._index[world]
+    own = {a: {k for k, b in enumerate(labels) if b == labels[i]}
+           for a, labels in model.labels.items()}
+    key = [vals[i]]
     classes = {}
     for group in _agent_groups(model.agents):
-        cls = model.block_of(group[-1], world)
+        cls = own[group[-1]]
         if len(group) > 1:
             cls = classes[group[:-1]] & cls
         classes[group] = cls
-        key.append(frozenset(map(val.__getitem__, cls)))
+        key.append(frozenset(map(vals.__getitem__, cls)))
     return tuple(key)
 
 
@@ -281,7 +285,7 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     classes = labels_by(labels)  # class k is quotient world k
     reps = [min(members) for members in blocks_of(range(len(classes)), classes)]
     worlds = tuple(model.worlds[i] for i in reps)
-    valuation = {w: model.valuation[w] for w in worlds}
+    vals = tuple(model.vals[i] for i in reps)
     quotient_labels = {}
     for a in model.agents:
         # a quotient block is the image of an agent block, the classes of its
@@ -290,7 +294,7 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
         own = model.labels[a]
         images = blocks_of(classes, own)
         quotient_labels[a] = labels_by(images[own[i]] for i in reps)
-    quotient = EpistemicModel._trusted(worlds, quotient_labels, valuation, model.agents)
+    quotient = EpistemicModel._trusted(worlds, quotient_labels, vals, model.agents)
     _require_group_images(model, quotient, classes)
     return quotient
 

@@ -22,7 +22,7 @@ class CommGraph:
     product world identifiers and get hashed constantly).
     """
 
-    __slots__ = ("agents", "edges", "_hash", "_heard")
+    __slots__ = ("agents", "edges", "name", "_hash", "_heard")
 
     def __init__(self, agents, edges):
         agents = tuple(agents)
@@ -36,6 +36,8 @@ class CommGraph:
             raise ValueError(f"graph is not reflexive: missing {missing[0]}->{missing[0]}")
         self.agents = agents
         self.edges = edges
+        # computed once: every product world id names its graph
+        self.name = _graph_name(agents, edges)
         self._hash = hash((agents, edges))
         self._heard = None
 
@@ -51,17 +53,6 @@ class CommGraph:
 
     def __repr__(self):
         return f"CommGraph({self.name})"
-
-    @property
-    def name(self) -> str:
-        extra = sorted((s, r) for s, r in self.edges if s != r)
-        if not extra:
-            return "I"
-        if len(self.edges) == len(self.agents) ** 2:
-            return "U"
-        if all(len(a) == 1 for a in self.agents):
-            return "R" + "".join(f"{s}{r}" for s, r in extra)
-        return "R[" + ",".join(f"{s}>{r}" for s, r in extra) + "]"
 
     def __str__(self):
         return self.name
@@ -86,6 +77,17 @@ class CommGraph:
 
     def sort_key(self):
         return (len(self.edges), tuple(sorted(self.edges)))
+
+
+def _graph_name(agents: tuple, edges: frozenset) -> str:
+    extra = sorted((s, r) for s, r in edges if s != r)
+    if not extra:
+        return "I"
+    if len(edges) == len(agents) ** 2:
+        return "U"
+    if all(len(a) == 1 for a in agents):
+        return "R" + "".join(f"{s}{r}" for s, r in extra)
+    return "R[" + ",".join(f"{s}>{r}" for s, r in extra) + "]"
 
 
 def make_graph(agents, extra_edges=()) -> CommGraph:
@@ -221,11 +223,11 @@ def pattern_update(model: EpistemicModel, pattern: CommPattern) -> EpistemicMode
     ensure_capacity(len(model.worlds) * len(pattern.graphs))
 
     worlds = tuple((w, g) for w in model.worlds for g in pattern.graphs)
-    valuation = dict(zip(worlds, (v for v in model.valuation.values() for _ in pattern.graphs)))
+    vals = tuple(val for val in model.vals for _ in pattern.graphs)
 
     labels = {}
     for a in model.agents:
         heard = [(g.heard[a], group_labels(model, g.heard[a])) for g in pattern.graphs]
         labels[a] = labels_by((h, meet[i]) for i in range(len(model.worlds))
                               for h, meet in heard)
-    return EpistemicModel._trusted(worlds, labels, valuation, model.agents)
+    return EpistemicModel._trusted(worlds, labels, vals, model.agents)

@@ -10,28 +10,24 @@ from __future__ import annotations
 from itertools import combinations
 
 from .formulas import format_formula
-from .models import EpistemicModel, world_name, _component_name
+from .models import EpistemicModel, blocks_of, world_name, _component_name
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', r'\"').replace("\n", r"\n") + '"'
 
 
-def _graph_dot(kind: str, shape: str, model, elements, name, text) -> str:
-    """DOT for worlds or actions: a node per element, labeled
-    ``text(x, name(x))``, and an edge per agent and pair of elements in one
-    of its blocks."""
+def _graph_dot(kind: str, shape: str, model, names: list, texts: list) -> str:
+    """DOT for worlds or actions, given each element's name and label text
+    by position: a node per element and an edge per agent and pair of
+    elements in one of its blocks."""
     lines = [f"graph {kind} {{", f"  node [shape={shape}];"]
-    for x in sorted(elements, key=name):
-        label = name(x)
-        lines.append(f"  {_quote(label)} [label={_quote(text(x, label))}];")
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        lines.append(f"  {_quote(names[i])} [label={_quote(texts[i])}];")
     edges = []
     for a in model.agents:
-        for blk in model.relations[a]:
-            if len(blk) < 2:
-                continue
-            for u, v in combinations(sorted(blk, key=name), 2):
-                edges.append((name(u), name(v), a))
+        for blk in blocks_of(range(len(names)), model.labels[a]):
+            edges += [(u, v, a) for u, v in combinations(sorted(names[k] for k in blk), 2)]
     for u, v, a in sorted(edges):
         lines.append(f"  {_quote(u)} -- {_quote(v)} [label={_quote(a)}];")
     lines.append("}")
@@ -39,12 +35,13 @@ def _graph_dot(kind: str, shape: str, model, elements, name, text) -> str:
 
 
 def model_dot(model: EpistemicModel) -> str:
-    def text(w, label):
-        vals = " ".join(sorted(str(p) for p in model.valuation[w]))
-        return label + ("\n" + vals if vals else "")
-    return _graph_dot("model", "box", model, model.worlds, world_name, text)
+    names = list(map(world_name, model.worlds))
+    atoms = (" ".join(sorted(map(str, val))) for val in model.vals)
+    texts = [x + ("\n" + shown if shown else "") for x, shown in zip(names, atoms)]
+    return _graph_dot("model", "box", model, names, texts)
 
 
 def action_model_dot(model) -> str:
-    return _graph_dot("actions", "ellipse", model, model.actions, _component_name,
-                      lambda e, label: label + "\npre: " + format_formula(model.pre[e]))
+    names = list(map(_component_name, model.actions))
+    texts = [x + "\npre: " + format_formula(model.pre[e]) for x, e in zip(names, model.actions)]
+    return _graph_dot("actions", "ellipse", model, names, texts)

@@ -222,11 +222,10 @@ class HistoryModel(EpistemicModel):
     """
 
     def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):
-        self._assign(model.worlds, model.labels, model.valuation, model.agents,
-                     base, rounds)
+        self._assign(model.worlds, model.labels, model.vals, model.agents, base, rounds)
 
-    def _assign(self, worlds, labels, valuation, agents, base, rounds):
-        super()._assign(worlds, labels, valuation, agents)
+    def _assign(self, worlds, labels, vals, agents, base, rounds):
+        super()._assign(worlds, labels, vals, agents)
         self.base = base
         self.rounds = tuple(rounds)
 
@@ -262,47 +261,48 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h, pattern)
-    valuation = _round_valuation(plain, h, h.round, lambda g: g)
-    return HistoryModel._trusted(plain.worlds, plain.labels, valuation, plain.agents,
+    vals = _round_valuation(plain, h, h.round, lambda g: g, len(pattern.graphs))
+    return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents,
                                  h.base, h.rounds + (pattern,))
 
 
-def _latest_views(model: EpistemicModel, world, depth: int) -> tuple:
-    """Every agent's view at ``world`` after ``depth`` rounds, in agent order.
-    Reading them by depth is exact only if the start holds no history
-    variables, so round zero, which builds the leaves, rejects any."""
+def _latest_views(model: EpistemicModel, i: int, depth: int) -> tuple:
+    """Every agent's view at the model's world ``i`` (a position) after
+    ``depth`` rounds, in agent order.  Reading them by depth is exact only
+    if the start holds no history variables, so round zero, which builds
+    the leaves, rejects any."""
+    val = model.vals[i]
     if depth:
-        latest = {p.owner: p.view for p in model.valuation[world]
+        latest = {p.owner: p.view for p in val
                   if isinstance(p, HistoryVariable) and p.view.depth == depth}
         return tuple(latest[a] for a in model.agents)
-    held = [p for p in model.valuation[world] if isinstance(p, HistoryVariable)]
+    held = [p for p in val if isinstance(p, HistoryVariable)]
     if held:
         raise EpiupdateError(
             "a history starts from a model without history variables; world "
-            f"{world_name(world)} holds {min(held, key=atom_key)}")
-    grouped = model.locals_at(world)
-    return tuple(View((), (), grouped.get(a, frozenset())) for a in model.agents)
+            f"{world_name(model.worlds[i])} holds {min(held, key=atom_key)}")
+    return tuple(View((), (), frozenset(p for p in val if p.owner == a))
+                 for a in model.agents)
 
 
 def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
-                     rounds_so_far: int, graph_of) -> dict:
-    """The valuation of ``plain`` with the new round's history variables true:
-    a world ``(v, step)`` of ``plain`` steps the views at v, a world of the
-    model ``prev`` after ``rounds_so_far`` rounds, by ``graph_of(step)``."""
+                rounds_so_far: int, graph_of, fanout: int) -> tuple:
+    """The valuations of ``plain`` with the new round's history variables
+    true.  ``plain`` lists ``fanout`` worlds ``(v, step)`` per world v of
+    ``prev``, the model after ``rounds_so_far`` rounds, in its order, as
+    the products do; each steps the views at v by ``graph_of(step)``."""
     added_of: dict[tuple, frozenset] = {}
-    valuation = {}
-    last = views = None
-    for w in plain.worlds:
-        v, step = w
-        if v is not last:  # products list the worlds of one v together
-            last, views = v, _latest_views(prev, v, rounds_so_far)
+    vals = []
+    for k, ((_, step), val) in enumerate(zip(plain.worlds, plain.vals)):
+        if k % fanout == 0:
+            views = _latest_views(prev, k // fanout, rounds_so_far)
         key = (views, graph_of(step))
         added = added_of.get(key)
         if added is None:
             added = added_of[key] = frozenset(
                 map(HistoryVariable, _advance(views, key[1], plain.agents), plain.agents))
-        valuation[w] = plain.valuation[w] | added
-    return valuation
+        vals.append(val | added)
+    return tuple(vals)
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -319,7 +319,7 @@ def _round_layers(rounds, base: EpistemicModel):
     """Per round of a pattern sequence, the history variables it realizes
     from every start in ``base``, stepped one layer of views at a time."""
     agents = base.agents
-    layer = {_latest_views(base, w, 0) for w in base.worlds}
+    layer = {_latest_views(base, i, 0) for i in range(len(base.worlds))}
     for pattern in rounds:
         layer = {_advance(views, g, agents) for views in layer for g in pattern.graphs}
         yield frozenset(HistoryVariable(view, a)
@@ -340,9 +340,7 @@ def history_atoms_below(rounds, base: EpistemicModel) -> frozenset:
 def realized_history_atoms(model: EpistemicModel) -> frozenset:
     """The history variables actually occurring in a model's valuations."""
     return frozenset(
-        p for val in model.valuation.values()
-        for p in val if isinstance(p, HistoryVariable)
-    )
+        p for val in model.vals for p in val if isinstance(p, HistoryVariable))
 
 
 # -- induced round products ---------------------------------------------------
@@ -362,8 +360,8 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    valuation = _round_valuation(plain, model, rounds_so_far, lambda act: act[0])
-    return EpistemicModel._trusted(plain.worlds, plain.labels, valuation, plain.agents)
+    vals = _round_valuation(plain, model, rounds_so_far, lambda act: act[0], len(pattern.graphs))
+    return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents)
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:

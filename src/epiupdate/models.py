@@ -1,13 +1,16 @@
 """Finite epistemic models over agents and agent-owned atoms.
 
-Each agent's indistinguishability relation is stored as a partition of the
-worlds, so reflexivity, symmetry and transitivity hold by construction.
-The partition is indexed once, as ``labels[agent]``: each world's block
-number in world order, blocks numbered by their first world.  The block
-tuple ``relations[agent]`` and every group meet (:func:`group_labels`) are
-derived from it.  Models are immutable after construction; every
-operation here is a pure function of its inputs and results can be shared
-freely across tasks.
+A model is stored by world position, in three parts: ``worlds``, the
+tuple of world ids; ``labels[agent]``, each world's block number in world
+order, blocks numbered by their first world, so each agent's
+indistinguishability relation is a partition and reflexivity, symmetry
+and transitivity hold by construction; and ``vals``, each world's
+valuation as a frozenset, in world order.  Everything keyed by world id
+is a view derived on first use: ``_index`` (each world's position), the
+block tuple ``relations[agent]`` and the ``valuation`` mapping.  Group
+meets (:func:`group_labels`) are label lists too.  Models are immutable
+after construction; every operation here is a pure function of its
+inputs and results can be shared freely across tasks.
 
 Locality is enforced: two worlds an agent cannot tell apart must agree on
 all atoms owned by that agent.
@@ -18,8 +21,9 @@ owners and locality, and fail with a diagnostic.  Products built inside
 the package (pattern and action-model updates, induced models, history
 rounds, quotients, interpreted systems) take the trusted ``_trusted``
 path, which only sets fields.  They are valid by construction: they hand
-over labels from :func:`labels_by`, computed by position from the labels
-of their inputs, so blocks are numbered by first element; atoms and their
+over labels from :func:`labels_by` and valuations, both computed by
+position from those of their inputs, so blocks are numbered by first
+element and no product builds a dict keyed by world id; atoms and their
 owners come from valid inputs; and every product relates two worlds for
 an agent only when the agent could not tell their sources apart either,
 so a product of a local model is local.  The test suite rebuilds every
@@ -158,16 +162,21 @@ class _Partitioned:
         return elems, labels, agents
 
     def _assign_partitions(self, elements: tuple, labels: dict, agents: tuple) -> None:
-        self._index = {x: i for i, x in enumerate(elements)}
+        self._elements = elements
         self.labels = labels
         self.agents = agents
+
+    @cached_property
+    def _index(self) -> dict:
+        """Each element's position; derived on first use, since many
+        products are only read by position."""
+        return {x: i for i, x in enumerate(self._elements)}
 
     @cached_property
     def relations(self) -> dict:
         """Each agent's blocks as frozensets, in the order of their labels;
         derived on first use, since many products are only read by label."""
-        # the index lists the elements in order
-        return {a: blocks_of(self._index, self.labels[a]) for a in self.agents}
+        return {a: blocks_of(self._elements, self.labels[a]) for a in self.agents}
 
     @staticmethod
     def _block_labels(agent, blocks, index: dict, noun: str) -> list:
@@ -196,7 +205,9 @@ class EpistemicModel(_Partitioned):
     ``relations`` maps each agent to an iterable of blocks (iterables of
     worlds); the blocks must partition the world set exactly.  ``valuation``
     maps worlds to collections of atom-like values (anything hashable with
-    an ``owner`` attribute); missing worlds get the empty valuation.
+    an ``owner`` attribute); missing worlds get the empty valuation.  The
+    model stores them by position, as ``vals``; its ``valuation`` is a
+    mapping derived from that on first use.
     """
 
     __hash__ = object.__hash__
@@ -205,9 +216,9 @@ class EpistemicModel(_Partitioned):
         worlds, labels, agents = self._validated(worlds, relations, agents, "world")
         if not agents:
             raise ValueError("agent set must be nonempty")
-        valuation = {w: frozenset(valuation.get(w, ())) for w in worlds}
-        self._validate_owners(valuation, agents)
-        self._assign(worlds, labels, valuation, agents)
+        vals = tuple(frozenset(valuation.get(w, ())) for w in worlds)
+        self._validate_owners(worlds, vals, agents)
+        self._assign(worlds, labels, vals, agents)
         bad = _locality_violation(self)
         if bad is not None:
             a, first, w = bad
@@ -217,26 +228,29 @@ class EpistemicModel(_Partitioned):
                 f"{a}-owned atoms"
             )
 
-    def _assign(self, worlds: tuple, labels: dict, valuation: dict, agents: tuple):
+    def _assign(self, worlds: tuple, labels: dict, vals: tuple, agents: tuple):
         """The trusted path: ``labels`` per agent in the form of
-        :func:`labels_by`, ``valuation`` a frozenset per world in world
-        order, ``agents`` sorted."""
+        :func:`labels_by`, ``vals`` a frozenset per world in world order,
+        ``agents`` sorted."""
         self._assign_partitions(worlds, labels, agents)
         self.worlds = worlds
-        self.valuation = valuation
+        self.vals = vals
 
-        # per-instance caches; values are deterministic, so a racy double
-        # computation is harmless
+        # group meets, computed once; values are deterministic, so a racy
+        # double computation is harmless
         self._group_cache: dict[frozenset, list] = {}
-        self._locals_cache: dict = {}
-        self._name_map = None
+
+    @cached_property
+    def valuation(self) -> dict:
+        """Each world's valuation, keyed by world id; derived on first use."""
+        return dict(zip(self.worlds, self.vals))
 
     # -- validation ------------------------------------------------------
 
     @staticmethod
-    def _validate_owners(valuation: dict, agents: tuple):
+    def _validate_owners(worlds: tuple, vals: tuple, agents: tuple):
         ags = set(agents)
-        for w, val in valuation.items():
+        for w, val in zip(worlds, vals):
             for p in val:
                 if p.owner not in ags:
                     raise UnknownNameError(
@@ -268,17 +282,6 @@ class EpistemicModel(_Partitioned):
     def block_of(self, agent, world) -> frozenset:
         return self.relations[agent][self.labels[agent][self._index[world]]]
 
-    def locals_at(self, world) -> dict:
-        """The world's valuation grouped by owning agent (computed once)."""
-        hit = self._locals_cache.get(world)
-        if hit is None:
-            grouped: dict[str, set] = {}
-            for p in self.valuation[world]:
-                grouped.setdefault(p.owner, set()).add(p)
-            hit = {a: frozenset(s) for a, s in grouped.items()}
-            self._locals_cache[world] = hit
-        return hit
-
     def step(self, mechanism) -> EpistemicModel:
         """The model updated by a pattern or an action model: here the plain
         ``pattern_update`` or ``action_update``; a history model overrides it.
@@ -290,12 +293,10 @@ class EpistemicModel(_Partitioned):
         return action_update(self, mechanism)
 
     def world_named(self, name: str):
-        if self._name_map is None:
-            self._name_map = {world_name(w): w for w in self.worlds}
-        try:
-            return self._name_map[name]
-        except KeyError:
-            raise UnknownNameError(f"no world named {name!r}") from None
+        for w in self.worlds:
+            if world_name(w) == name:
+                return w
+        raise UnknownNameError(f"no world named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -333,19 +334,29 @@ def _component_name(x) -> str:
     return str(x)
 
 
+def own_labels(vals, agent) -> list:
+    """Each world's block of the grouping by the agent's own atoms, given
+    the valuations in world order, in the form of :func:`labels_by`."""
+    own = {val: frozenset(p for p in val if p.owner == agent) for val in set(vals)}
+    return labels_by(map(own.__getitem__, vals))
+
+
 def _locality_violation(model: EpistemicModel):
     """The first (agent, w, v) where w and v share a block of the agent but
-    disagree on its own atoms, or None when the model is local.  ``w`` is
-    the block's first world and ``v`` the first later one in world order,
-    so the answer does not depend on the hash seed."""
-    empty = frozenset()
+    disagree on its own atoms, or None when the model is local.  The block
+    is the first such in label order, ``w`` its first world and ``v`` the
+    first later one that disagrees with ``w``, so the answer does not
+    depend on the hash seed."""
     for a in model.agents:
-        for blk in blocks_of(range(len(model.worlds)), model.labels[a]):
-            first, *rest = (model.worlds[i] for i in sorted(blk))
-            ref = model.locals_at(first).get(a, empty)
-            for w in rest:
-                if model.locals_at(w).get(a, empty) != ref:
-                    return a, first, w
+        own = own_labels(model.vals, a)
+        first: dict[int, int] = {}  # block -> the position of its first world
+        bad: dict[int, int] = {}    # block -> the first position unlike it
+        for i, b in enumerate(model.labels[a]):
+            if own[first.setdefault(b, i)] != own[i]:
+                bad.setdefault(b, i)
+        if bad:
+            b = min(bad)
+            return a, model.worlds[first[b]], model.worlds[bad[b]]
     return None
 
 
@@ -361,19 +372,13 @@ def is_interpreted_system(model: EpistemicModel) -> bool:
     atoms); an interpreted system also satisfies the converse: equal
     own-atom valuations force indistinguishability.
     """
-    empty = frozenset()
-    return all(
-        labels_by(model.locals_at(w).get(a, empty) for w in model.worlds)
-        == model.labels[a]
-        for a in model.agents)
+    return all(own_labels(model.vals, a) == model.labels[a] for a in model.agents)
 
 
 def group_relation(model: EpistemicModel, group) -> tuple:
     """The partition for a nonempty agent group: the meet of the members'
     partitions, as blocks in order of first world."""
-    b = frozenset(group)
-    labels = group_labels(model, b)
-    return model.relations[min(b)] if len(b) == 1 else blocks_of(model.worlds, labels)
+    return blocks_of(model.worlds, group_labels(model, group))
 
 
 def group_labels(model: EpistemicModel, group) -> list:
@@ -411,9 +416,6 @@ def full_interpreted_system(atoms, agents=()) -> EpistemicModel:
     ensure_capacity(2 ** n)
 
     worlds = tuple(format(bits, f"0{n}b") if n else "w" for bits in range(2 ** n))
-    valuation = {w: frozenset(atoms[i] for i in range(n) if w[i] == "1")
-                 for w in worlds}
-    labels = {a: labels_by(frozenset(p for p in valuation[w] if p.owner == a)
-                           for w in worlds)
-              for a in ags}
-    return EpistemicModel._trusted(worlds, labels, valuation, ags)
+    vals = tuple(frozenset(atoms[i] for i in range(n) if w[i] == "1") for w in worlds)
+    labels = {a: own_labels(vals, a) for a in ags}
+    return EpistemicModel._trusted(worlds, labels, vals, ags)

@@ -18,7 +18,7 @@ from .comm import (
 )
 from .errors import EpiupdateError
 from .formulas import formula_atoms
-from .models import EpistemicModel, PointedModel
+from .models import EpistemicModel, PointedModel, blocks_of
 from .semantics import satisfies
 
 
@@ -161,35 +161,33 @@ def check_circular_chain(model: EpistemicModel) -> bool:
 
     True iff both agents' partitions consist solely of two-world blocks
     and following a-partner / b-partner alternately walks a single cycle
-    through all worlds (at least four of them).
+    through all worlds (at least four of them).  Worlds are read by
+    position: each label of an agent must occur exactly twice.
     """
     if len(model.agents) != 2:
         raise ValueError("circular chains are defined for exactly two agents")
-    a, b = model.agents
-    if len(model.worlds) < 4 or len(model.worlds) % 2 != 0:
+    n = len(model.worlds)
+    if n < 4 or n % 2 != 0:
         return False
 
-    partners = {}
-    for agent in (a, b):
-        partners[agent] = {}
-        for blk in model.relations[agent]:
+    partners = []
+    for agent in model.agents:
+        partner = [0] * n
+        for blk in blocks_of(range(n), model.labels[agent]):
             if len(blk) != 2:
                 return False
-            u, v = tuple(blk)
-            partners[agent][u] = v
-            partners[agent][v] = u
+            u, v = blk
+            partner[u], partner[v] = v, u
+        partners.append(partner)
 
-    start = model.worlds[0]
-    current, agent, steps = start, a, 0
-    while True:
-        current = partners[agent][current]
-        agent = b if agent == a else a
-        steps += 1
-        if current == start and agent == a:
-            break
-        if steps > 2 * len(model.worlds):
-            return False
-    return steps == len(model.worlds)
+    # an a-step then a b-step is a permutation of the worlds, so the walk
+    # comes back to world 0 after an even number of steps; it passes every
+    # world iff that number is n
+    pa, pb = partners
+    k, steps = pb[pa[0]], 2
+    while k:
+        k, steps = pb[pa[k]], steps + 2
+    return steps == n
 
 
 def fresh_variable_counterexample(action_model: ActionModel, atoms):

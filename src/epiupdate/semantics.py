@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .formulas import TRUE, ActionBox, Conj, DKnow, Formula, Neg, PatternBox, Top, Var
 from .history import atom_holds
-from .models import EpistemicModel, group_relation
+from .models import EpistemicModel, group_labels
 
 
 def extension(model: EpistemicModel, f: Formula, memo: dict | None = None) -> frozenset:
@@ -30,7 +30,8 @@ def _ext(model, f, memo) -> frozenset:
     if key in memo:
         return memo[key]
     if isinstance(f, Var):
-        out = frozenset(w for w, val in model.valuation.items() if atom_holds(val, f.atom))
+        out = frozenset(w for w, val in zip(model.worlds, model.vals)
+                        if atom_holds(val, f.atom))
     elif isinstance(f, Top):
         out = frozenset(model.worlds)
     elif isinstance(f, Neg):
@@ -38,8 +39,11 @@ def _ext(model, f, memo) -> frozenset:
     elif isinstance(f, Conj):
         out = _ext(model, f.left, memo) & _ext(model, f.right, memo)
     elif isinstance(f, DKnow):
+        # the worlds whose group class lies inside the subformula's extension
         sub = _ext(model, f.sub, memo)
-        out = frozenset().union(*(b for b in group_relation(model, f.group) if b <= sub))
+        classes = group_labels(model, f.group)
+        outside = {c for w, c in zip(model.worlds, classes) if w not in sub}
+        out = frozenset(w for w, c in zip(model.worlds, classes) if c not in outside)
     elif isinstance(f, PatternBox):
         sub = _ext(_step(model, f.pattern, memo), f.sub, memo)
         out = frozenset(w for w in model.worlds if (w, f.graph) in sub)

@@ -31,7 +31,7 @@ from .fixtures import (
     byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot,
     skip, sq_model, universal_pattern, P_A, P_B, Q_A, AGENTS_AB,
 )
-from .models import Atom, EpistemicModel, atom_key, _sorted_agents, world_name
+from .models import Atom, EpistemicModel, atom_key, blocks_of, _sorted_agents, world_name
 from .parser import ParserContext, parse_formula
 
 
@@ -107,25 +107,24 @@ def model_from_json(obj, agents, atoms_by_name) -> EpistemicModel:
     return EpistemicModel(worlds, relations, valuation, agents=agents)
 
 
+def _named_relations(model, names: list) -> dict:
+    """Each agent's blocks as sorted lists of names, given by position."""
+    return {a: [sorted(names[k] for k in blk)
+                for blk in blocks_of(range(len(names)), model.labels[a])]
+            for a in model.agents}
+
+
 def model_to_json(model: EpistemicModel) -> dict:
-    base_atoms = sorted(
-        {p for val in model.valuation.values() for p in val if isinstance(p, Atom)},
-        key=atom_key)
-    history_atoms = sorted(
-        {str(p) for val in model.valuation.values()
-         for p in val if not isinstance(p, Atom)})
+    atoms = frozenset().union(*model.vals)
+    base_atoms = sorted((p for p in atoms if isinstance(p, Atom)), key=atom_key)
+    history_atoms = sorted({str(p) for p in atoms if not isinstance(p, Atom)})
+    names = list(map(world_name, model.worlds))
     out = {
         "agents": list(model.agents),
         "atoms": [{"base": p.base, "owner": p.owner} for p in base_atoms],
-        "worlds": [
-            {"id": world_name(w),
-             "val": sorted(str(p) for p in model.valuation[w])}
-            for w in model.worlds
-        ],
-        "relations": {
-            a: [sorted(world_name(w) for w in blk) for blk in model.relations[a]]
-            for a in model.agents
-        },
+        "worlds": [{"id": x, "val": sorted(map(str, val))}
+                   for x, val in zip(names, model.vals)],
+        "relations": _named_relations(model, names),
     }
     if history_atoms:
         out["history_atoms"] = history_atoms
@@ -145,16 +144,12 @@ def action_model_from_json(obj, agents, workspace: Workspace | None = None,
 def action_model_to_json(model: ActionModel) -> dict:
     from .formulas import format_formula
     from .models import _component_name
+    names = list(map(_component_name, model.actions))
     return {
         "agents": list(model.agents),
-        "actions": [
-            {"id": _component_name(e), "pre": format_formula(model.pre[e])}
-            for e in model.actions
-        ],
-        "relations": {
-            a: [sorted(_component_name(e) for e in blk) for blk in model.relations[a]]
-            for a in model.agents
-        },
+        "actions": [{"id": x, "pre": format_formula(model.pre[e])}
+                    for x, e in zip(names, model.actions)],
+        "relations": _named_relations(model, names),
     }
 
 

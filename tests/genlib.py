@@ -202,6 +202,47 @@ def brute_isomorphic(model, other) -> bool:
     return False
 
 
+def reference_circular_chain(model) -> bool:
+    """Oracle for ``search.check_circular_chain``: the walk over world ids.
+
+    Both agents' blocks must all be pairs; following a-partner and
+    b-partner alternately from the first world must pass every world
+    before it is back there after a b-step.
+    """
+    a, b = model.agents
+    if len(model.worlds) < 4 or len(model.worlds) % 2 != 0:
+        return False
+    partners = {}
+    for agent in (a, b):
+        partners[agent] = {}
+        for blk in model.relations[agent]:
+            if len(blk) != 2:
+                return False
+            u, v = tuple(blk)
+            partners[agent][u] = v
+            partners[agent][v] = u
+    start = model.worlds[0]
+    current, agent, steps = start, a, 0
+    while True:
+        current = partners[agent][current]
+        agent = b if agent == a else a
+        steps += 1
+        if current == start and agent == a:
+            break
+        if steps > 2 * len(model.worlds):
+            return False
+    return steps == len(model.worlds)
+
+
+def reference_is_interpreted_system(model) -> bool:
+    """Oracle for ``models.is_interpreted_system``, pair by pair: two
+    worlds share a block of an agent iff their valuations, grouped by
+    owner, agree on that agent's atoms."""
+    owned = {w: dict(initials_key(model, w)) for w in model.worlds}
+    return all((owned[u][a] == owned[v][a]) == (v in model.block_of(a, u))
+               for a in model.agents for u in model.worlds for v in model.worlds)
+
+
 def same_partition(labels, other) -> bool:
     """Do two label arrays put the same nodes together?"""
     return (len(labels) == len(other)
@@ -273,9 +314,8 @@ def random_pattern_formula(rng: random.Random, atoms, agents, patterns,
 
 def initials_key(model, world) -> tuple:
     """Every agent's local valuation at ``world``, as (agent, atoms) pairs."""
-    grouped = model.locals_at(world)
-    empty = frozenset()
-    return tuple((a, grouped.get(a, empty)) for a in model.agents)
+    val = model.valuation[world]
+    return tuple((a, frozenset(p for p in val if p.owner == a)) for a in model.agents)
 
 
 def concrete_view(agent: str, history: tuple, initials: tuple, memo=None) -> View:

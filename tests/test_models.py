@@ -4,17 +4,23 @@ from itertools import combinations
 import pytest
 
 from epiupdate import (
-    ActionModel, Atom, EpistemicModel, LocalityError, ModelCapError,
-    PointedModel, UnknownNameError, Var, action_update, apply_induced, compose,
-    full_interpreted_system, group_relation, history_start, history_update,
-    induced_action_model, induced_chain, is_interpreted_system, is_local,
-    minimize, model_as_action_model, pattern_update, skip_model,
-    whether_announce, world_name,
+    ActionModel, Atom, DKnow, EpistemicModel, LocalityError, ModelCapError, Neg,
+    PointedModel, UnknownNameError, Var, action_update, apply_induced,
+    check_circular_chain, compose, disj, full_interpreted_system, group_relation,
+    history_start, history_update, induced_action_model, induced_chain,
+    is_interpreted_system, is_local, minimize, model_as_action_model,
+    models_bisimilar, pattern_update, skip_model, valid_on, whether_announce,
+    world_name,
 )
-from epiupdate.fixtures import byz_initial_model, byz_pattern, sq_model, P_A, P_B, Q_A
+from epiupdate.fixtures import (
+    byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B, Q_A,
+)
 from epiupdate.formulas import TRUE
 
-from genlib import model_atoms, random_interpreted_system, random_local_model, random_pattern
+from genlib import (
+    model_atoms, random_interpreted_system, random_local_model, random_pattern,
+    reference_is_interpreted_system,
+)
 
 R_B = Atom("r", "b")
 
@@ -77,7 +83,7 @@ class TestLocality:
     def test_violation_detected(self):
         uv = [0, 0]  # one block holding u and v
         m = EpistemicModel._trusted(("u", "v"), {"a": uv, "b": uv},
-                                    {"u": frozenset({P_A}), "v": frozenset()}, ("a", "b"))
+                                    (frozenset({P_A}), frozenset()), ("a", "b"))
         assert not is_local(m)
 
     def test_is_local_agrees_with_construction(self):
@@ -94,7 +100,7 @@ class TestLocality:
                 relations[a][i] |= relations[a].pop(j)
             labels = {b: [i for w in m.worlds for i, blk in enumerate(relations[b]) if w in blk]
                       for b in m.agents}
-            unchecked = EpistemicModel._trusted(m.worlds, labels, m.valuation, m.agents)
+            unchecked = EpistemicModel._trusted(m.worlds, labels, m.vals, m.agents)
             try:
                 EpistemicModel(m.worlds, relations, m.valuation, agents=m.agents)
             except LocalityError:
@@ -109,6 +115,16 @@ class TestLocality:
             EpistemicModel(
                 ["u", "v"], {"a": [["u", "v"]], "b": [["u"], ["v"]]},
                 {"u": {P_A}, "v": set()})
+
+    def test_diagnostic_names_the_first_bad_block(self):
+        # two blocks of a break locality: the message names the block of
+        # the first world, its first world and the first one unlike it
+        worlds = ["u", "v", "w", "x", "y"]
+        with pytest.raises(LocalityError) as exc:
+            EpistemicModel(worlds, {"a": [["x", "y"], ["u", "v", "w"]], "b": [worlds]},
+                           {"w": {P_A}, "x": {P_A}})
+        assert str(exc.value) == ("worlds u and w are indistinguishable for agent a "
+                                  "but disagree on a-owned atoms")
 
 
 class TestInterpretedSystem:
@@ -129,6 +145,50 @@ class TestInterpretedSystem:
     def test_single_world(self):
         m = EpistemicModel(["w"], {"a": [["w"]], "b": [["w"]]}, {"w": {P_A}})
         assert is_interpreted_system(m)
+
+    @staticmethod
+    def split_one_block(rng, m):
+        """The model with one block of two or more worlds cut in two (it
+        stays local), or the model itself when it has no such block."""
+        cuttable = [(a, blk) for a in m.agents for blk in m.relations[a] if len(blk) > 1]
+        if not cuttable:
+            return m
+        a, blk = rng.choice(cuttable)
+        members = sorted(blk)
+        cut = rng.randint(1, len(members) - 1)
+        relations = {b: list(m.relations[b]) for b in m.agents}
+        relations[a].remove(blk)
+        relations[a] += [members[:cut], members[cut:]]
+        return EpistemicModel(m.worlds, relations, m.valuation, agents=m.agents)
+
+    def test_agrees_with_grouping_by_owner(self):
+        # seeded models, each also with one block split and after two
+        # history rounds, against the pairwise oracle
+        rng = random.Random(20261020)
+        verdicts = []
+        for i in range(60):
+            m = random_interpreted_system(rng) if i % 2 else random_local_model(rng)
+            p = random_pattern(rng, m.agents, max_graphs=3)
+            h = history_update(history_update(history_start(m), p), p)
+            for model in [m, self.split_one_block(rng, m), h]:
+                verdicts.append(is_interpreted_system(model))
+                assert verdicts[-1] == reference_is_interpreted_system(model)
+        assert 30 <= sum(verdicts) <= len(verdicts) - 30
+
+
+class TestPositionalCore:
+    def test_views_keyed_by_world_id_are_built_on_demand(self):
+        # a product that is only read by position builds none of them
+        m = pattern_update(sq_model(), immediate_snapshot())
+        assert not is_interpreted_system(m)
+        assert check_circular_chain(m)
+        assert models_bisimilar(m, minimize(m))
+        assert valid_on(m, DKnow(frozenset("a"), disj(Var(P_A), Neg(Var(P_A)))))
+        assert not valid_on(m, DKnow(frozenset("ab"), Var(P_B)))
+        for view in ("_index", "relations", "valuation"):
+            assert view not in m.__dict__
+        assert m.valuation[("11", m.worlds[-1][1])] == frozenset({P_A, P_B})
+        assert "valuation" in m.__dict__
 
 
 class TestGroupRelation:

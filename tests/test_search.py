@@ -22,7 +22,7 @@ from epiupdate import bisim, search
 from epiupdate.bisim import pointed_sets_match
 from epiupdate.search import candidate_patterns, pattern_verdicts
 
-from genlib import reference_sets_match
+from genlib import reference_circular_chain, reference_sets_match
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -397,6 +397,40 @@ class TestCircularChain:
         m = full_interpreted_system([], agents=("a", "b", "c"))
         with pytest.raises(ValueError):
             check_circular_chain(m)
+
+    @staticmethod
+    def random_chain(rng):
+        """One or two even alternating cycles under random world names in
+        shuffled order; in most cases one agent's pairs are then broken:
+        two pairs re-paired across, a pair split in two singletons, or a
+        third world moved into a pair."""
+        lengths = [2 * rng.randint(1, 6) for _ in range(rng.choice([1, 1, 2]))]
+        names = [f"w{x}" for x in rng.sample(range(1000), sum(lengths))]
+        blocks = {"a": [], "b": []}
+        for k, n in enumerate(lengths):
+            cycle = names[sum(lengths[:k]):sum(lengths[:k + 1])]
+            blocks["a"] += [[cycle[i], cycle[i + 1]] for i in range(0, n, 2)]
+            blocks["b"] += [[cycle[i + 1], cycle[(i + 2) % n]] for i in range(0, n, 2)]
+        own = blocks[rng.choice(AB)]
+        kind = rng.choice(["none", "repair", "split", "triple"])
+        if kind == "split":
+            x, y = own.pop(rng.randrange(len(own)))
+            own += [[x], [y]]
+        elif kind != "none" and len(own) > 1:
+            (x, y), (u, v) = (own.pop(i) for i in sorted(rng.sample(range(len(own)), 2),
+                                                         reverse=True))
+            own += [[x, u], [y, v]] if kind == "repair" else [[x, y, u], [v]]
+        rng.shuffle(names)
+        return EpistemicModel(names, blocks, {}, agents=AB)
+
+    def test_agrees_with_the_walk_over_world_ids(self):
+        rng = random.Random(20261019)
+        verdicts = Counter()
+        for _ in range(400):
+            m = self.random_chain(rng)
+            verdicts[check_circular_chain(m)] += 1
+            assert check_circular_chain(m) == reference_circular_chain(m), m.relations
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 
 class TestFreshVariable:
