@@ -29,9 +29,9 @@ from .formulas import (
     iff, implies, knows, modal_depth, pattern_box_all, action_box_all,
 )
 from .history import (
-    EMPTY_VIEW, HistoryModel, HistoryVariable, View, atom_holds,
-    history_atoms_below, history_power, history_start, history_update,
-    induced_chain, realized_history_atoms, round_variables, view_of,
+    HistoryModel, View, atom_holds, history_atoms_below, history_power,
+    history_start, history_update, induced_chain, realized_history_atoms,
+    round_variables, view_of,
 )
 from .iunf import is_iunf, iunf_translate
 from .models import (

@@ -4,19 +4,21 @@ Across repeated rounds of communication, each agent accumulates a view:
 a tree recording who it heard from in the last round and, recursively,
 what those senders had seen before.  At the bottom of the tree sit the
 senders' initial local valuations, so a view is a full record of
-everything the agent has received.  A history variable packages a view
-as a local atom of its owner; the round update behaves exactly like the
-plain pattern update except that it additionally makes the current
-round's history variables true.  With the received content in the
-leaves, interpreted systems are closed under this update, which is the
-point of the whole construction: equal local valuations then pin down
-exactly the worlds an agent cannot distinguish.
+everything the agent has received.  A history variable is its owner's
+view, used as a local atom of that agent; the round update behaves
+exactly like the plain pattern update except that it additionally makes
+the current round's history variables true.  With the received content
+in the leaves, interpreted systems are closed under this update, which
+is the point of the whole construction: equal local valuations then pin
+down exactly the worlds an agent cannot distinguish.
 
 Views are built by one round step, ``_advance``: an agent's view after
 sigma.R is its sender set in R with those senders' views after sigma
 (Fagin, Halpern, Moses & Vardi, *Reasoning About Knowledge*, 1995), read
 off the history variables of the round before.  Views are hash-consed
-(Filliatre & Conchon, 2006) through a weak table that keeps none alive.
+(Filliatre & Conchon, 2006) through a weak table that keeps none alive,
+so a history round and an induced chain that are alive together share
+their history variables, and valuations compare them by identity.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
@@ -37,50 +39,50 @@ from itertools import product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
-from .models import EpistemicModel, atom_key, world_name
+from .models import EpistemicModel, atom_key, ensure_capacity, world_name
 
 _VIEWS = weakref.WeakValueDictionary()  # fields -> the live view with them
 
 
 class View:
-    """One agent's record of one history.
+    """One agent's record of one history, which is that agent's history variable.
 
-    A round-zero view has an empty ``group`` and carries ``initial``, the
-    owner's initial local valuation (``None`` in abstract views).  A
-    later view carries the sorted tuple of agents heard from in the last
-    round and one child view per member, from the round before; ``depth``
-    counts the rounds, 0 for a round-zero view.  Views are immutable and
-    hash-consed; equality stays structural, so no answer depends on the
-    table.
+    ``owner`` is the agent whose record it is.  A round-zero view has no
+    children and carries ``initial``, the owner's initial local valuation
+    (``None`` in abstract views).  A later view carries one child view per
+    agent heard from in the last round, from the round before, in agent
+    order; graphs are reflexive, so the owner is among them.  ``depth``
+    counts the rounds, 0 for a round-zero view.  As a local atom of its
+    owner a view is the history variable of its round.  Views are
+    immutable and hash-consed, so equal views are one object while any is
+    alive; equality stays structural, so no answer depends on the table.
     """
 
-    __slots__ = ("group", "children", "initial", "depth", "is_abstract", "_hash",
+    __slots__ = ("owner", "children", "initial", "depth", "is_abstract", "_hash",
                  "_skeleton", "__weakref__")
 
-    def __new__(cls, group, children, initial=None):
-        group = tuple(group)
+    def __new__(cls, owner, children=(), initial=None):
         children = tuple(children)
         # hash(None) is address-based on some Pythons, so a view without an
         # initial valuation leaves it out: hashes stay equal across runs
-        key = (group, children) if initial is None else (group, children, initial)
+        key = (owner, children) if initial is None else (owner, children, initial)
         self = _VIEWS.get(key)
         if self is not None:
             return self
-        if tuple(sorted(group)) != group:
-            raise ValueError("view group must be sorted by agent name")
-        if group:
-            if len(children) != len(group):
-                raise ValueError("a view needs one child per group member")
+        if children:
+            group = [c.owner for c in children]
+            if any(x >= y for x, y in zip(group, group[1:])):
+                raise ValueError("a view's children need distinct owners in agent order")
+            if owner not in group:
+                raise ValueError("a view's owner must be among the agents it heard from")
             if initial is not None:
                 raise ValueError("only round-zero views carry an initial valuation")
-        elif children:
-            raise ValueError("a round-zero view has no children")
         self = super().__new__(cls)
-        self.group = group
+        self.owner = owner
         self.children = children
         self.initial = initial
-        self.depth = 1 + max(c.depth for c in children) if group else 0
-        self.is_abstract = (any(c.is_abstract for c in children) if group
+        self.depth = 1 + max(c.depth for c in children) if children else 0
+        self.is_abstract = (any(c.is_abstract for c in children) if children
                             else initial is None)
         self._hash = hash(key)
         self._skeleton = None
@@ -91,7 +93,7 @@ class View:
         return (self is other
                 or (isinstance(other, View)
                     and self._hash == other._hash
-                    and self.group == other.group
+                    and self.owner == other.owner
                     and self.children == other.children
                     and self.initial == other.initial))
 
@@ -99,14 +101,13 @@ class View:
         return self._hash
 
     def __repr__(self):
-        return f"View({self.serialize() or 'start'!r})"
+        return f"View({self})"
 
     def skeleton(self) -> "View":
         """The same tree with all leaf content removed (built once per view)."""
         sk = self._skeleton
         if sk is None:
-            sk = (View(self.group, [c.skeleton() for c in self.children])
-                  if self.group else EMPTY_VIEW)
+            sk = View(self.owner, [c.skeleton() for c in self.children])
             if sk is not self:  # a view keeping itself would be a cycle
                 self._skeleton = sk
         return sk
@@ -119,7 +120,7 @@ class View:
         """
         if not self.depth:
             return ""
-        root = "".join(self.group)
+        root = "".join(c.owner for c in self.children)
         if all(not c.depth for c in self.children):
             return root
         inner = [c.serialize() for c in self.children]
@@ -128,58 +129,7 @@ class View:
         return "(" + ",".join(inner) + f").{root}"
 
     def __str__(self):
-        return self.serialize() or "()"
-
-
-EMPTY_VIEW = View((), ())
-
-
-def _advance(views: tuple, graph, agents) -> tuple:
-    """The round step: every agent's view after a round with ``graph``,
-    from the views before it (both in ``agents`` order)."""
-    before = dict(zip(agents, views))
-    return tuple(View(heard, [before[b] for b in heard])
-                 for heard in (sorted(graph.heard[a]) for a in agents))
-
-
-def view_of(agent: str, history) -> View:
-    """The abstract view of an agent on a sequence of communication graphs."""
-    views = agents = ()
-    for graph in history:
-        agents = graph.agents
-        views = _advance(views or (EMPTY_VIEW,) * len(agents), graph, agents)
-    return views[agents.index(agent)] if views else EMPTY_VIEW
-
-
-class HistoryVariable:
-    """A view packaged as a local atom of its owner."""
-
-    __slots__ = ("view", "owner", "_hash")
-
-    def __init__(self, view: View, owner: str):
-        self.view = view
-        self.owner = owner
-        self._hash = hash((view, owner))
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, HistoryVariable)
-                    and self._hash == other._hash
-                    and self.owner == other.owner
-                    and (self.view is other.view or self.view == other.view)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"HistoryVariable({self})"
-
-    @property
-    def is_abstract(self) -> bool:
-        return self.view.is_abstract
-
-    def __str__(self):
-        ser = self.view.serialize()
+        ser = self.serialize()
         if "." in ser:
             return f"({ser})_{self.owner}"
         return f"{ser}_{self.owner}"
@@ -187,7 +137,7 @@ class HistoryVariable:
     def id_name(self) -> str:
         """The form ids use: ``str(self)`` and the sorted leaf contents in
         tree order (``ab_b[p_a|]``), so that look-alike variables differ."""
-        return f"{self}[{'|'.join(_leaf_names(self.view))}]"
+        return f"{self}[{'|'.join(_leaf_names(self))}]"
 
 
 def _leaf_names(view: View) -> list:
@@ -196,16 +146,27 @@ def _leaf_names(view: View) -> list:
     return ["?" if view.initial is None else ",".join(sorted(map(str, view.initial)))]
 
 
+def _advance(views: tuple, graph, agents) -> tuple:
+    """The round step: every agent's view after a round with ``graph``,
+    from the views before it (both in ``agents`` order)."""
+    before = dict(zip(agents, views))
+    return tuple(View(a, [before[b] for b in sorted(graph.heard[a])]) for a in agents)
+
+
+def view_of(agent: str, history) -> View:
+    """The abstract view of an agent on a sequence of communication graphs."""
+    views = agents = ()
+    for graph in history:
+        agents = graph.agents
+        views = _advance(views or tuple(map(View, agents)), graph, agents)
+    return views[agents.index(agent)] if views else View(agent)
+
+
 def atom_holds(valuation: frozenset, atom) -> bool:
     """Membership test that lets abstract history variables match by shape."""
-    if isinstance(atom, HistoryVariable) and atom.is_abstract:
-        want = atom.view.skeleton()
-        return any(
-            isinstance(p, HistoryVariable)
-            and p.owner == atom.owner
-            and p.view.skeleton() == want
-            for p in valuation
-        )
+    if isinstance(atom, View) and atom.is_abstract:
+        want = atom.skeleton()
+        return any(isinstance(p, View) and p.skeleton() == want for p in valuation)
     return atom in valuation
 
 
@@ -273,15 +234,14 @@ def _latest_views(model: EpistemicModel, i: int, depth: int) -> tuple:
     the leaves, rejects any."""
     val = model.vals[i]
     if depth:
-        latest = {p.owner: p.view for p in val
-                  if isinstance(p, HistoryVariable) and p.view.depth == depth}
+        latest = {p.owner: p for p in val if isinstance(p, View) and p.depth == depth}
         return tuple(latest[a] for a in model.agents)
-    held = [p for p in val if isinstance(p, HistoryVariable)]
+    held = [p for p in val if isinstance(p, View)]
     if held:
         raise EpiupdateError(
             "a history starts from a model without history variables; world "
             f"{world_name(model.worlds[i])} holds {min(held, key=atom_key)}")
-    return tuple(View((), (), frozenset(p for p in val if p.owner == a))
+    return tuple(View(a, (), frozenset(p for p in val if p.owner == a))
                  for a in model.agents)
 
 
@@ -299,8 +259,7 @@ def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
         key = (views, graph_of(step))
         added = added_of.get(key)
         if added is None:
-            added = added_of[key] = frozenset(
-                map(HistoryVariable, _advance(views, key[1], plain.agents), plain.agents))
+            added = added_of[key] = frozenset(_advance(views, key[1], plain.agents))
         vals.append(val | added)
     return tuple(vals)
 
@@ -322,8 +281,7 @@ def _round_layers(rounds, base: EpistemicModel):
     layer = {_latest_views(base, i, 0) for i in range(len(base.worlds))}
     for pattern in rounds:
         layer = {_advance(views, g, agents) for views in layer for g in pattern.graphs}
-        yield frozenset(HistoryVariable(view, a)
-                        for views in layer for view, a in zip(views, agents))
+        yield frozenset(view for views in layer for view in views)
 
 
 def round_variables(rounds, base: EpistemicModel) -> frozenset:
@@ -340,7 +298,7 @@ def history_atoms_below(rounds, base: EpistemicModel) -> frozenset:
 def realized_history_atoms(model: EpistemicModel) -> frozenset:
     """The history variables actually occurring in a model's valuations."""
     return frozenset(
-        p for val in model.vals for p in val if isinstance(p, HistoryVariable))
+        p for val in model.vals for p in val if isinstance(p, View))
 
 
 # -- induced round products ---------------------------------------------------
@@ -386,10 +344,12 @@ def displayed_round_points(pattern: CommPattern, sigma, base_atoms,
 
     the round-1 component ranges over subsets of the base atoms, the
     round-k component (k > 1) over subsets of the history variables
-    realized exactly at round k-1.
+    realized exactly at round k-1.  Their number counts against the world
+    cap before any is built.
     """
     sigma = tuple(sigma)
     layers = [frozenset(base_atoms), *_round_layers([pattern] * (len(sigma) - 1), base)]
+    ensure_capacity(2 ** sum(map(len, layers[:len(sigma)])))
     pools = []
     for g, layer in zip(sigma, layers):
         universe = sorted(layer, key=atom_key)

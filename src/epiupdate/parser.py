@@ -103,10 +103,9 @@ class ParserContext:
             return None
         if any(a not in self.agents for a in group) or owner not in group:
             return None
-        from .history import EMPTY_VIEW, HistoryVariable, View
+        from .history import View
         # abstract first-round view: matches by shape, regardless of content
-        view = View(group, (EMPTY_VIEW,) * len(group))
-        return HistoryVariable(view, owner)
+        return View(owner, map(View, group))
 
     def check_agent(self, name: str, pos: int):
         if not self.loose and name not in self.agents:

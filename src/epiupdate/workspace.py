@@ -236,6 +236,8 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
         raise UnknownNameError("empty model expression")
 
     def take_operand(i):
+        if i == len(tokens):
+            raise UnknownNameError(f"missing operand after {tokens[-1]!r}")
         if tokens[i] == "U" and i + 1 < len(tokens) and tokens[i + 1] == "(":
             if i + 3 >= len(tokens) or tokens[i + 3] != ")":
                 raise UnknownNameError("malformed induced-model reference")

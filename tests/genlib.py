@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import combinations, permutations, product
 
 from epiupdate import (
-    ActionBox, Atom, CommPattern, DKnow, EpistemicModel, HistoryVariable, Neg, Conj,
+    ActionBox, Atom, CommPattern, DKnow, EpistemicModel, Neg, Conj,
     PatternBox, Top, Var, View, atom_holds, enumerate_graphs, full_interpreted_system,
 )
 from epiupdate.bisim import pointed_classes
@@ -328,12 +328,11 @@ def concrete_view(agent: str, history: tuple, initials: tuple, memo=None) -> Vie
     if memo is not None and key in memo:
         return memo[key]
     if not history:
-        view = View((), (), initial=dict(initials)[agent])
+        view = View(agent, (), initial=dict(initials)[agent])
     else:
         *earlier, last = history
         heard = sorted(last.heard[agent])
-        view = View(tuple(heard), tuple(concrete_view(b, tuple(earlier), initials, memo)
-                                        for b in heard))
+        view = View(agent, [concrete_view(b, tuple(earlier), initials, memo) for b in heard])
     if memo is not None:
         memo[key] = view
     return view
@@ -353,7 +352,7 @@ def reference_valuation(model, base, rounds: int, graph_of) -> dict:
         sigma = tuple(reversed(graphs))
         initials = initials_key(base, x)
         out[w] = base.valuation[x] | {
-            HistoryVariable(concrete_view(a, sigma[:k], initials, memo), a)
+            concrete_view(a, sigma[:k], initials, memo)
             for k in range(1, rounds + 1) for a in model.agents}
     return out
 
@@ -367,6 +366,5 @@ def reference_round_variables(rounds, base) -> frozenset:
     profiles = {initials_key(base, w) for w in base.worlds}
     memo = {}
     return frozenset(
-        HistoryVariable(concrete_view(a, sigma, initials, memo), a)
-        for sigma in product(*(p.graphs for p in rounds))
+        concrete_view(a, sigma, initials, memo) for sigma in product(*(p.graphs for p in rounds))
         for initials in profiles for a in base.agents)

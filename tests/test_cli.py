@@ -276,6 +276,59 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == f"error: pattern size cap must be at least 1, not {cap}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("dot", "Sq odot"),
+        ("dot", "Sq otimes"),
+        ("search", "--bases", "Sq odot:11", "--target", "pattern:Byz"),
+    ])
+    def test_missing_operand_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: missing operand after ")
+
+
+class TestAcrossHashSeeds:
+    """Output does not follow hash order: history variables hash their
+    owner's name, so sets of them iterate differently under each seed."""
+
+    COMMANDS = [
+        ["update", "Sq", "--history", "--with", "IS", "--rounds", "3"],
+        ["update", "Sq", "--history", "--with", "IS", "--rounds", "2"],
+        ["induce", "Byz", "--round", "2", "--atoms", "p_a"],
+        ["induce", "IS", "--round", "2"],
+        ["check", "Sq odot IS", "11.Rab", "[IS:Rab] ab_b"],
+        ["update", "Sq", "--with", "IS", "--with-action", "skip", "--with", "IS"],
+        ["dot", "Sq odot IS odot IS"],
+        ["minimize", "Sq odot IS odot IS"],
+    ]
+
+    def test_outputs_agree_across_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        import epiupdate
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        script = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "from epiupdate.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    text = repr((code, out.getvalue(), err.getvalue()))\n"
+            "    print(code, hashlib.sha256(text.encode()).hexdigest())\n")
+        procs = [subprocess.Popen(
+                     [sys.executable, "-c", script, json.dumps(self.COMMANDS)],
+                     stdout=subprocess.PIPE, text=True,
+                     env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+                 for seed in ("0", "1", "2")]
+        outs = [proc.communicate()[0].split("\n")[:-1] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0, 0]
+        assert outs[0] == outs[1] == outs[2]
+        assert [line.split()[0] for line in outs[0]] == ["0", "0", "0", "2", "1", "0", "0", "0"]
+
 
 def _workspace(**models):
     return {"agents": ["a", "b"], "atoms": [{"base": "p", "owner": "a"}],

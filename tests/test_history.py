@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from epiupdate import (
-    DKnow, EpiupdateError, EpistemicModel, HistoryVariable, ModelCapError,
+    DKnow, EpiupdateError, EpistemicModel, ModelCapError,
     PatternBox, Var,
     atom_holds, history_atoms_below, history_power,
     history_start, history_update, induced_chain, is_interpreted_system,
@@ -18,7 +18,7 @@ from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 from epiupdate import history
-from epiupdate.history import EMPTY_VIEW, View, induced_round_product
+from epiupdate.history import View, induced_round_product
 
 from genlib import (
     concrete_view, initials_key, model_atoms, random_interpreted_system,
@@ -35,7 +35,7 @@ def graph(name, pattern):
 
 class TestViews:
     def test_empty_history(self):
-        assert view_of("a", ()) == EMPTY_VIEW
+        assert view_of("a", ()) == View("a")
         assert view_of("a", ()).serialize() == ""
 
     def test_first_round(self):
@@ -43,8 +43,8 @@ class TestViews:
         rab = graph("Rab", isp)
         assert view_of("a", (rab,)).serialize() == "a"
         assert view_of("b", (rab,)).serialize() == "ab"
-        assert str(HistoryVariable(view_of("a", (rab,)), "a")) == "a_a"
-        assert str(HistoryVariable(view_of("b", (rab,)), "b")) == "ab_b"
+        assert str(view_of("a", (rab,))) == "a_a"
+        assert str(view_of("b", (rab,))) == "ab_b"
 
     def test_second_round(self):
         isp = immediate_snapshot()
@@ -53,18 +53,19 @@ class TestViews:
         vb = view_of("b", (rab, rba))
         assert va.serialize() == "(a,ab).ab"
         assert vb.serialize() == "ab.b"
-        assert str(HistoryVariable(va, "a")) == "((a,ab).ab)_a"
-        assert str(HistoryVariable(vb, "b")) == "(ab.b)_b"
+        assert str(va) == "((a,ab).ab)_a"
+        assert str(vb) == "(ab.b)_b"
 
     def test_serialization_injective_on_abstract_views(self):
+        # keyed by str, which adds the owner: the two agents' views of one
+        # shape serialize alike but differ
         isp = immediate_snapshot()
         seen = {}
         for n in range(3):
             for sigma in product(isp.graphs, repeat=n):
                 for agent in AB:
                     v = view_of(agent, sigma)
-                    s = v.serialize()
-                    assert seen.setdefault(s, v) == v
+                    assert seen.setdefault(str(v), v) == v
         assert len(seen) > 10
 
     def test_concrete_views_carry_content(self):
@@ -89,8 +90,8 @@ class TestViews:
         script = (
             "from epiupdate import history_start, history_update, realized_history_atoms\n"
             "from epiupdate.fixtures import immediate_snapshot, sq_model\n"
-            "from epiupdate.history import EMPTY_VIEW, View\n"
-            "print(hash(View(('a',), (View(('a', 'b'), (EMPTY_VIEW, EMPTY_VIEW)),))))\n"
+            "from epiupdate.history import View\n"
+            "print(hash(View('a', [View('a', [View('a'), View('b')])])))\n"
             "h = history_start(sq_model())\n"
             "for _ in range(2):\n"
             "    h = history_update(h, immediate_snapshot())\n"
@@ -102,14 +103,15 @@ class TestViews:
                                ).stdout
                 for _ in range(2)]
         assert outs[0] == outs[1]
-        assert outs[0].count("HistoryVariable(") > 10
+        assert outs[0].count("View(") > 10
 
     def test_equal_views_are_one_object(self):
-        first = View(("a", "b"), (EMPTY_VIEW, View(("b",), (EMPTY_VIEW,))))
-        assert View(["a", "b"], [EMPTY_VIEW, View(("b",), (EMPTY_VIEW,))]) is first
-        leaf = View((), (), frozenset({P_A}))
-        assert View((), (), frozenset({P_A})) is leaf
-        assert View((), (), frozenset()) is not EMPTY_VIEW
+        first = View("a", (View("a"), View("b", (View("b"),))))
+        assert View("a", [View("a"), View("b", [View("b")])]) is first
+        leaf = View("a", (), frozenset({P_A}))
+        assert View("a", (), frozenset({P_A})) is leaf
+        assert View("a", (), frozenset()) is not View("a")
+        assert View("b", (), frozenset()) is not View("a", (), frozenset())
         rab = graph("Rab", immediate_snapshot())
         assert view_of("b", (rab, rab)) is view_of("b", [rab, rab])
 
@@ -120,17 +122,33 @@ class TestViews:
         chain = induced_chain(sq, [isp] * 3, [P_A, P_B])
 
         def round_three(model):
-            return {id(p.view): p.view for val in model.valuation.values()
-                    for p in val if isinstance(p, HistoryVariable) and p.view.depth == 3}
+            return {id(p): p for val in model.valuation.values()
+                    for p in val if isinstance(p, View) and p.depth == 3}
 
         ours, theirs = round_three(h), round_three(chain)
         assert len(ours) > 10
         assert ours.keys() == theirs.keys()
 
+    def test_bisimilarity_of_history_and_induced_rounds_compares_by_identity(self, monkeypatch):
+        sq = sq_model()
+        isp = immediate_snapshot()
+        h = history_power(sq, isp, 3)
+        chain = induced_chain(sq, [isp] * 3, [P_A, P_B])
+        calls = []
+        structural = View.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return structural(self, other)
+
+        monkeypatch.setattr(View, "__eq__", counted)
+        assert models_bisimilar(h, chain)
+        assert calls == []
+
     def test_dropped_views_are_not_kept(self):
         h = history_power(sq_model(), immediate_snapshot(), 3)
-        view = next(p.view for p in h.valuation[h.worlds[-1]]
-                    if isinstance(p, HistoryVariable) and p.view.depth == 3)
+        view = next(p for p in h.valuation[h.worlds[-1]]
+                    if isinstance(p, View) and p.depth == 3)
         dropped = weakref.ref(view)
         del h, view
         gc.collect()
@@ -140,13 +158,14 @@ class TestViews:
         sq = sq_model()
         isp = immediate_snapshot()
         u = graph("U", isp)
-        concrete = HistoryVariable(concrete_view("a", (u,), initials_key(sq, "11")), "a")
-        abstract = HistoryVariable(view_of("a", (u,)), "a")
-        other = HistoryVariable(view_of("a", (graph("Rab", isp),)), "a")
+        concrete = concrete_view("a", (u,), initials_key(sq, "11"))
+        abstract = view_of("a", (u,))
+        other = view_of("a", (graph("Rab", isp),))
         val = frozenset({concrete, P_A})
         assert atom_holds(val, concrete)
         assert atom_holds(val, abstract)
         assert not atom_holds(val, other)
+        assert not atom_holds(val, view_of("b", (u,)))  # same shape, other owner
         assert atom_holds(val, Var(P_A).atom)
 
 
@@ -201,7 +220,7 @@ class TestRoundUpdate:
             assert h.model.relations == plain.relations
             for w in plain.worlds:
                 base = {p for p in h.model.valuation[w]
-                        if not isinstance(p, HistoryVariable)}
+                        if not isinstance(p, View)}
                 assert base == set(plain.valuation[w])
 
     def test_start_with_history_variables_rejected(self):
@@ -250,7 +269,7 @@ class TestHistorySemantics:
         isp = immediate_snapshot()
         h0 = history_start(sq)
         rab = graph("Rab", isp)
-        a_a = Var(HistoryVariable(view_of("a", (rab,)), "a"))
+        a_a = Var(view_of("a", (rab,)))
         assert satisfies(h0, "11", PatternBox(isp, rab, a_a))
 
     def test_full_group_collapse_preserved(self):
@@ -266,7 +285,7 @@ class TestHistorySemantics:
         isp = immediate_snapshot()
         h0 = history_start(sq)
         rab = graph("Rab", isp)
-        ab_b = Var(HistoryVariable(view_of("b", (rab,)), "b"))
+        ab_b = Var(view_of("b", (rab,)))
         f = PatternBox(isp, rab, knows("a", ab_b))
         h1 = history_update(h0, isp)
         assert h1.model.block_of("a", ("11", rab)) == {("11", rab), ("10", rab)}
@@ -278,7 +297,7 @@ class TestHistorySemantics:
         byz = byz_pattern()
         h0 = history_start(sq)
         rab = graph("Rab", byz)
-        ab_b = Var(HistoryVariable(view_of("b", (rab,)), "b"))
+        ab_b = Var(view_of("b", (rab,)))
         f = PatternBox(byz, rab, knows("a", ab_b))
         assert not satisfies(h0, "11", f)
 
@@ -297,7 +316,7 @@ class TestHistorySemantics:
         sq = sq_model()
         isp = immediate_snapshot()
         rab = graph("Rab", isp)
-        f = PatternBox(isp, rab, Var(HistoryVariable(view_of("a", (rab,)), "a")))
+        f = PatternBox(isp, rab, Var(view_of("a", (rab,))))
         assert satisfies(history_start(sq), "11", f)
         assert not satisfies(sq, "11", f)
 
@@ -368,8 +387,7 @@ class TestInducedChain:
             prev, (g, _q) = w
             sigma = (prev[1][0], g)
             initials = initials_key(base, prev[0])
-            added = frozenset(
-                HistoryVariable(concrete_view(x, sigma, initials), x) for x in AB)
+            added = frozenset(concrete_view(x, sigma, initials) for x in AB)
             valuation[w] = plain.valuation[w] | added
         from epiupdate import EpistemicModel
         mat = EpistemicModel(plain.worlds, plain.relations, valuation, agents=AB)
@@ -425,6 +443,21 @@ class TestDisplayedPointSets:
         live = [p for p in paths
                 if ((("11", p[0]), p[1])) in chain_worlds]
         assert live == []
+
+    def test_point_count_checked_against_the_cap(self, monkeypatch):
+        # subsets of 2 base atoms and of the 12 round-1 and 36 round-2
+        # variables make 2^14 paths for two rounds and 2^50 for three: both
+        # stop before any path is built
+        from epiupdate.history import displayed_round_points
+        sq = sq_model()
+        isp = immediate_snapshot()
+        rab = graph("Rab", isp)
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "1000")
+        with pytest.raises(ModelCapError):
+            displayed_round_points(isp, (rab, rab), [P_A, P_B], sq)
+        monkeypatch.delenv("EPIUPDATE_MAX_WORLDS")
+        with pytest.raises(ModelCapError):
+            displayed_round_points(isp, (rab, rab, rab), [P_A, P_B], sq)
 
 
 class TestReferenceViews:

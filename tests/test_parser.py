@@ -8,7 +8,7 @@ from epiupdate import (
     format_formula, knows, parse_formula, satisfies,
 )
 from epiupdate.fixtures import P_A, P_B, sq_model
-from epiupdate.history import HistoryVariable
+from epiupdate.history import View
 from epiupdate.parser import MAX_NESTING
 from epiupdate.workspace import default_workspace
 
@@ -70,11 +70,11 @@ class TestCore:
         f = ws.parse("ab_b")
         assert isinstance(f, Var)
         hv = f.atom
-        assert isinstance(hv, HistoryVariable)
+        assert isinstance(hv, View)
         assert hv.owner == "b" and hv.is_abstract
         assert str(hv) == "ab_b"
         g = ws.parse("a_a")
-        assert isinstance(g.atom, HistoryVariable)
+        assert isinstance(g.atom, View)
 
     def test_loose_mode(self):
         f = parse_formula("(x_a & y_b)")

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from epiupdate import (
-    ActionBox, Conj, DKnow, EmptyModelError, HistoryVariable, Neg, PatternBox,
+    ActionBox, Conj, DKnow, EmptyModelError, Neg, PatternBox,
     UnknownNameError, Var, disj, dual_knows, iff, knows, pattern_box_all, satisfies,
     valid_on, pattern_update, action_update, induced_action_model, announce,
     compose, default_workspace, extension, history_start, history_update,
@@ -193,7 +193,7 @@ class TestReferenceOracle:
 
     def test_history_rounds_with_abstract_variables(self):
         isp = immediate_snapshot()
-        abstract = [Var(HistoryVariable(view_of(a, seq), a)) for a in ("a", "b")
+        abstract = [Var(view_of(a, seq)) for a in ("a", "b")
                     for n in (1, 2) for seq in product(isp.graphs, repeat=n)]
         assert Var(default_workspace().parse("ab_b").atom) in abstract
         rng = random.Random(SEED + 4)
