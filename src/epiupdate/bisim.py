@@ -2,10 +2,11 @@
 
 The forth/back conditions of a collective bisimulation range over the
 group relation of every nonempty agent subset, not only over individual
-agents.  All checks run as partition refinement: start from blocks of
-equal valuation and split a block whenever two members see different sets
-of current blocks along some group relation.  Checks between two models
-run on their disjoint union, so one refinement engine serves both.
+agents.  Checks run as partition refinement: start from blocks of equal
+valuation and split a block whenever two members see different sets of
+current blocks along some group relation.  Checks between two models run
+on their disjoint union, so one refinement engine serves both.  Whole
+interpreted systems are compared and minimized by their valuations.
 
 The engine (``_refine``) refines in synchronous rounds, so round r yields
 exactly the partition of r-bisimilarity and bounded checks and
@@ -35,8 +36,8 @@ from itertools import combinations
 
 from .errors import EpiupdateError
 from .models import (
-    EpistemicModel, PointedModel, blocks_of, group_labels, labels_by, world_name,
-)
+    EpistemicModel, PointedModel, blocks_of, group_labels, is_interpreted_system, labels_by,
+    world_name)
 
 
 @dataclass
@@ -250,9 +251,17 @@ def bisimilar(model, world, other, other_world, want_witness=False) -> BisimResu
 
 
 def models_bisimilar(model: EpistemicModel, other: EpistemicModel) -> bool:
-    """Whole-model check: every world of each model has a partner in the other."""
+    """Whole-model check: every world of each model has a partner in the other.
+
+    In an interpreted system each group relation is agreement on the
+    members' own atoms, so two of them over one agent set are bisimilar
+    iff they have the same valuations, and are compared by those alone.
+    """
     if model.is_empty or other.is_empty:
         return model.is_empty and other.is_empty
+    if (model.agents == other.agents  # else refinement raises
+            and is_interpreted_system(model) and is_interpreted_system(other)):
+        return set(model.vals) == set(other.vals)
     labels, _ = _refine([model, other])
     n = len(model.worlds)
     return set(labels[:n]) == set(labels[n:])
@@ -277,12 +286,13 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     its first representative.  Where no model is both, the call raises
     ``EpiupdateError``: the quotient's group relation is the meet of its
     agents' relations, which can join two classes that no group block of
-    the model joins.
+    the model joins.  An interpreted system's classes are its valuations
+    (see :func:`models_bisimilar`).
     """
     if model.is_empty:
         return model
-    labels, _ = _refine([model])
-    classes = labels_by(labels)  # class k is quotient world k
+    keys = model.vals if is_interpreted_system(model) else _refine([model])[0]
+    classes = labels_by(keys)  # class k is quotient world k
     reps = [min(members) for members in blocks_of(range(len(classes)), classes)]
     worlds = tuple(model.worlds[i] for i in reps)
     vals = tuple(model.vals[i] for i in reps)

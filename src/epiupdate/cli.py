@@ -148,6 +148,15 @@ def cmd_check(ws: Workspace, args) -> int:
 
 
 def cmd_bisim(ws: Workspace, args) -> int:
+    pointed = args.point1 is not None or args.point2 is not None
+    flags = [f for f, on in (("--bound", args.bound is not None),
+                             ("--witness", args.witness)) if on]
+    if args.iso and (pointed or flags):
+        raise EpiupdateError("--iso takes no --point1, --point2, --bound or --witness")
+    if flags and not pointed:
+        raise EpiupdateError(f"{flags[0]} needs --point1 and --point2")
+    if len(flags) == 2:
+        raise EpiupdateError("--bound and --witness cannot be combined")
     left = resolve_model_expr(ws, args.left)
     right = resolve_model_expr(ws, args.right)
     if args.iso:

@@ -12,10 +12,10 @@ in the leaves, interpreted systems are closed under this update, which
 is the point of the whole construction: equal local valuations then pin
 down exactly the worlds an agent cannot distinguish.
 
-Views are built by one round step, ``_advance``: an agent's view after
-sigma.R is its sender set in R with those senders' views after sigma
-(Fagin, Halpern, Moses & Vardi, *Reasoning About Knowledge*, 1995), read
-off the history variables of the round before.  Views are hash-consed
+An agent's view after sigma.R is its sender set in R with those senders'
+views after sigma (Fagin, Halpern, Moses & Vardi, *Reasoning About
+Knowledge*, 1995), read off the history variables of the round before,
+and built once per class of the senders' group.  Views are hash-consed
 (Filliatre & Conchon, 2006) through a weak table that keeps none alive,
 so a history round and an induced chain that are alive together share
 their history variables, and valuations compare them by identity.
@@ -39,7 +39,7 @@ from itertools import product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
-from .models import EpistemicModel, atom_key, ensure_capacity, world_name
+from .models import EpistemicModel, atom_key, ensure_capacity, group_labels, world_name
 
 _VIEWS = weakref.WeakValueDictionary()  # fields -> the live view with them
 
@@ -147,8 +147,8 @@ def _leaf_names(view: View) -> list:
 
 
 def _advance(views: tuple, graph, agents) -> tuple:
-    """The round step: every agent's view after a round with ``graph``,
-    from the views before it (both in ``agents`` order)."""
+    """The round step on one history: every agent's view after a round
+    with ``graph``, from the views before it (both in ``agents`` order)."""
     before = dict(zip(agents, views))
     return tuple(View(a, [before[b] for b in sorted(graph.heard[a])]) for a in agents)
 
@@ -222,7 +222,7 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h, pattern)
-    vals = _round_valuation(plain, h, h.round, lambda g: g, len(pattern.graphs))
+    vals = _round_valuation(plain, h, h.round, pattern.graphs)
     return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents,
                                  h.base, h.rounds + (pattern,))
 
@@ -246,22 +246,25 @@ def _latest_views(model: EpistemicModel, i: int, depth: int) -> tuple:
 
 
 def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
-                rounds_so_far: int, graph_of, fanout: int) -> tuple:
+                     rounds_so_far: int, graphs) -> tuple:
     """The valuations of ``plain`` with the new round's history variables
-    true.  ``plain`` lists ``fanout`` worlds ``(v, step)`` per world v of
-    ``prev``, the model after ``rounds_so_far`` rounds, in its order, as
-    the products do; each steps the views at v by ``graph_of(step)``."""
-    added_of: dict[tuple, frozenset] = {}
-    vals = []
-    for k, ((_, step), val) in enumerate(zip(plain.worlds, plain.vals)):
-        if k % fanout == 0:
-            views = _latest_views(prev, k // fanout, rounds_so_far)
-        key = (views, graph_of(step))
-        added = added_of.get(key)
-        if added is None:
-            added = added_of[key] = frozenset(_advance(views, key[1], plain.agents))
-        vals.append(val | added)
-    return tuple(vals)
+    true.  ``plain`` lists a world ``(v, step)`` per world v of ``prev``,
+    the model after ``rounds_so_far`` rounds, and graph, in that order, as
+    the products do.  A sender's view is its own atom, so constant on its
+    blocks: an agent's new view is built once per class of its senders."""
+    agents = plain.agents
+    latest = [_latest_views(prev, i, rounds_so_far) for i in range(len(prev.worlds))]
+    columns = {}  # (agent, senders) -> (each world's class, each class's view)
+    for a, senders in dict.fromkeys((a, g.heard[a]) for g in graphs for a in agents):
+        pos = [agents.index(b) for b in sorted(senders)]
+        classes, col = group_labels(prev, senders), []
+        for views, c in zip(latest, classes):
+            if c == len(col):  # classes are numbered by their first world
+                col.append(View(a, [views[k] for k in pos]))
+        columns[a, senders] = classes, col
+    steps = [[columns[a, g.heard[a]] for a in agents] for g in graphs]
+    return tuple(val | frozenset(col[classes[v]] for classes, col in step)
+                 for val, (v, step) in zip(plain.vals, product(range(len(prev.worlds)), steps)))
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -318,7 +321,7 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    vals = _round_valuation(plain, model, rounds_so_far, lambda act: act[0], len(pattern.graphs))
+    vals = _round_valuation(plain, model, rounds_so_far, pattern.graphs)
     return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents)
 
 

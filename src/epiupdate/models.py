@@ -336,9 +336,12 @@ def _component_name(x) -> str:
 
 def own_labels(vals, agent) -> list:
     """Each world's block of the grouping by the agent's own atoms, given
-    the valuations in world order, in the form of :func:`labels_by`."""
-    own = {val: frozenset(p for p in val if p.owner == agent) for val in set(vals)}
-    return labels_by(map(own.__getitem__, vals))
+    the valuations in world order, in the form of :func:`labels_by`; one
+    set intersection per distinct valuation finds its own atoms."""
+    distinct = set(vals)
+    own = frozenset(p for p in frozenset().union(*distinct) if p.owner == agent)
+    mine = {val: own & val for val in distinct}
+    return labels_by(map(mine.__getitem__, vals))
 
 
 def _locality_violation(model: EpistemicModel):

@@ -27,20 +27,19 @@ def random_interpreted_system(rng: random.Random, max_agents=3,
     keep = [w for w in full.worlds if rng.random() < 0.7]
     if not keep:
         keep = [rng.choice(full.worlds)]
-    return _restrict_interpreted(full, keep, agents)
+    return interpreted_on([(w, full.valuation[w]) for w in keep], agents)
 
 
-def _restrict_interpreted(full, keep, agents):
-    keep_set = set(keep)
-    valuation = {w: full.valuation[w] for w in keep}
+def interpreted_on(pairs, agents):
+    """The interpreted system on the given (world, valuation) pairs: each
+    agent's blocks group the worlds by that agent's own atoms."""
     relations = {}
     for a in agents:
         cells = {}
-        for w in keep:
-            local = frozenset(p for p in valuation[w] if p.owner == a)
-            cells.setdefault(local, []).append(w)
-        relations[a] = [frozenset(c) for c in cells.values()]
-    return EpistemicModel(keep, relations, valuation, agents=agents)
+        for w, val in pairs:
+            cells.setdefault(frozenset(p for p in val if p.owner == a), []).append(w)
+        relations[a] = list(cells.values())
+    return EpistemicModel([w for w, _ in pairs], relations, dict(pairs), agents=agents)
 
 
 def random_local_model(rng: random.Random, max_agents=3, max_atoms_per_agent=2,

@@ -5,18 +5,21 @@ import pytest
 
 from epiupdate import (
     Atom, EpiupdateError, EpistemicModel, Neg, Var, action_update, bisimilar,
-    group_relation, induced_action_model, isomorphic, knows,
+    full_interpreted_system, group_relation, history_power, induced_action_model,
+    induced_chain, is_interpreted_system, isomorphic, knows,
     max_collective_bisimulation, minimize, models_bisimilar, n_bisimilar,
     pattern_update, satisfies, DKnow,
 )
+from epiupdate import bisim
 from epiupdate.bisim import _depth_one_key, _refine
 from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 
 from genlib import (
-    brute_isomorphic, model_atoms, random_local_model, random_pattern,
-    random_static_formula, reference_refine, same_partition,
+    brute_isomorphic, interpreted_on, model_atoms, random_interpreted_system,
+    random_local_model, random_pattern, random_static_formula, reference_refine,
+    same_partition,
 )
 
 
@@ -502,6 +505,76 @@ class TestMinimize:
             "minimize: no model without bisimilar worlds is bisimilar to this "
             "one: the quotient's D{a,b} would relate w1 and v1, but no such "
             "block of the model meets both their classes")
+
+
+def with_copies(rng, m):
+    """``m`` with every world repeated one to three times, in shuffled order:
+    the same valuations, some of them at several worlds."""
+    pairs = [((w, k), m.valuation[w]) for w in m.worlds for k in range(rng.randint(1, 3))]
+    rng.shuffle(pairs)
+    return interpreted_on(pairs, m.agents)
+
+
+class TestInterpretedSystemFastPath:
+    """Interpreted systems are compared and minimized by their valuations."""
+
+    def random_system(self, rng, n_agents):
+        m = random_interpreted_system(rng, max_agents=n_agents)
+        while len(m.agents) != n_agents:
+            m = random_interpreted_system(rng, max_agents=n_agents)
+        return m
+
+    def test_agrees_with_refinement_on_seeded_pairs(self):
+        rng = random.Random(71)
+        for n_agents in (2, 3):
+            outcomes = set()
+            for _ in range(60):
+                m = self.random_system(rng, n_agents)
+                pick = rng.random()
+                if pick < 0.4:
+                    other = with_copies(rng, m)
+                elif pick < 0.7 and len(m.worlds) > 1:
+                    keep = rng.sample(m.worlds, len(m.worlds) - 1)
+                    other = interpreted_on([(w, m.valuation[w]) for w in keep], m.agents)
+                else:
+                    other = self.random_system(rng, n_agents)
+                assert is_interpreted_system(m) and is_interpreted_system(other)
+                labels, _ = reference_refine([m, other])
+                n = len(m.worlds)
+                want = set(labels[:n]) == set(labels[n:])
+                assert models_bisimilar(m, other) is want
+                outcomes.add(want)
+            assert outcomes == {True, False}, n_agents
+
+    def test_minimize_equals_the_refined_quotient(self, monkeypatch):
+        rng = random.Random(73)
+        systems = [with_copies(rng, self.random_system(rng, 2 + i % 2)) for i in range(30)]
+        assert any(len(set(m.vals)) < len(m.vals) for m in systems)
+        fast = [minimize(m) for m in systems]
+        monkeypatch.setattr(bisim, "is_interpreted_system", lambda model: False)
+        for m, got in zip(systems, fast):
+            assert is_interpreted_system(m)
+            want = minimize(m)
+            assert len(got.worlds) == len(set(m.vals))
+            assert (got.worlds, got.labels, got.vals) == (want.worlds, want.labels, want.vals)
+
+    def test_agent_sets_must_match(self):
+        two = full_interpreted_system([P_A, P_B])
+        three = full_interpreted_system([P_A, P_B, P_C])
+        assert is_interpreted_system(two) and is_interpreted_system(three)
+        with pytest.raises(ValueError):
+            models_bisimilar(two, three)
+
+    def test_history_round_and_induced_chain_without_refinement(self, monkeypatch):
+        sq, isp = sq_model(), immediate_snapshot()
+        h = history_power(sq, isp, 3)
+        chain = induced_chain(sq, [isp] * 3, [P_A, P_B])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("refined")
+
+        monkeypatch.setattr(bisim, "_refine", refuse)
+        assert models_bisimilar(h.model, chain)
 
 
 class TestIsomorphic:

@@ -158,6 +158,20 @@ class TestBisim:
                            "--bound", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--iso", "--point1", "11", "--point2", "00"],
+        ["--iso", "--point1", "11"],
+        ["--iso", "--bound", "1"],
+        ["--iso", "--witness"],
+        ["--bound", "0"],
+        ["--witness"],
+        ["--point1", "11", "--point2", "11", "--bound", "1", "--witness"],
+    ])
+    def test_ignored_flags_exit_two(self, capsys, flags):
+        code, out, err = run(capsys, "bisim", "Sq", "Sq", *flags)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_exact_distinguishing_depth(self, capsys):
         chain = "Sq" + " odot IS" * 5
         code, out, _ = run(capsys, "bisim", chain, chain,
@@ -301,6 +315,9 @@ class TestAcrossHashSeeds:
         ["update", "Sq", "--with", "IS", "--with-action", "skip", "--with", "IS"],
         ["dot", "Sq odot IS odot IS"],
         ["minimize", "Sq odot IS odot IS"],
+        ["update", "Sq", "--history", "--with", "Byz", "--rounds", "3"],
+        ["minimize", "Sq"],
+        ["bisim", "Sq", "Sq"],
     ]
 
     def test_outputs_agree_across_hash_seeds(self):
@@ -327,7 +344,8 @@ class TestAcrossHashSeeds:
         outs = [proc.communicate()[0].split("\n")[:-1] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0, 0]
         assert outs[0] == outs[1] == outs[2]
-        assert [line.split()[0] for line in outs[0]] == ["0", "0", "0", "2", "1", "0", "0", "0"]
+        assert [line.split()[0] for line in outs[0]] == ["0", "0", "0", "2", "1", "0", "0", "0",
+                                                     "0", "0", "0"]
 
 
 def _workspace(**models):

@@ -476,6 +476,43 @@ class TestReferenceViews:
                 assert chain.valuation == reference_valuation(
                     chain, m, n, lambda act: act[0])
 
+    def test_one_view_per_class_of_the_senders_group(self, monkeypatch):
+        # an agent's new view lists its senders' latest views, which are
+        # constant on each class of the senders' group: a round builds one
+        # view per (agent, sender set, class) of the model before it
+        sq, isp = sq_model(), immediate_snapshot()
+        atoms = frozenset({P_A, P_B})
+        built = []
+        new = View.__new__
+
+        def counted(cls, *args):
+            built.append(1)
+            return new(cls, *args)
+
+        def triples(model):
+            senders = {(a, g.heard[a]) for g in isp.graphs for a in model.agents}
+            return sum(len({tuple(model.block_of(b, w) for b in group) for w in model.worlds})
+                       for _, group in senders)
+
+        def views_built(step, *args):
+            built.clear()
+            monkeypatch.setattr(View, "__new__", staticmethod(counted))
+            try:
+                return step(*args), len(built)
+            finally:
+                monkeypatch.undo()
+
+        h, chain = history_start(sq), sq
+        for n in range(1, 5):
+            expected = triples(h)
+            h, in_round = views_built(history_update, h, isp)
+            chain, in_chain = views_built(induced_round_product, chain, isp,
+                                          atoms | realized_history_atoms(chain), sq, n - 1)
+            if n > 1:  # round one also builds every world's leaves
+                assert in_round == in_chain == expected
+        assert expected == 324
+        assert h.valuation == reference_valuation(h, sq, 4, lambda g: g)
+
     @pytest.mark.parametrize("make_pattern", [immediate_snapshot, byz_pattern])
     def test_universes_match_the_product_over_histories(self, make_pattern):
         sq = sq_model()
