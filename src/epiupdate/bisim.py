@@ -6,7 +6,7 @@ agents.  Checks run as partition refinement: start from blocks of equal
 valuation and split a block whenever two members see different sets of
 current blocks along some group relation.  Checks between two models run
 on their disjoint union, so one refinement engine serves both.  Whole
-interpreted systems are compared and minimized by their valuations.
+interpreted systems are compared by their valuations.
 
 The engine (``_refine``) refines in synchronous rounds, so round r yields
 exactly the partition of r-bisimilarity and bounded checks and
@@ -286,13 +286,12 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     its first representative.  Where no model is both, the call raises
     ``EpiupdateError``: the quotient's group relation is the meet of its
     agents' relations, which can join two classes that no group block of
-    the model joins.  An interpreted system's classes are its valuations
-    (see :func:`models_bisimilar`).
+    the model joins.
     """
     if model.is_empty:
         return model
-    keys = model.vals if is_interpreted_system(model) else _refine([model])[0]
-    classes = labels_by(keys)  # class k is quotient world k
+    labels, _ = _refine([model])
+    classes = labels_by(labels)  # class k is quotient world k
     reps = [min(members) for members in blocks_of(range(len(classes)), classes)]
     worlds = tuple(model.worlds[i] for i in reps)
     vals = tuple(model.vals[i] for i in reps)

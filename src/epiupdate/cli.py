@@ -148,14 +148,15 @@ def cmd_check(ws: Workspace, args) -> int:
 
 
 def cmd_bisim(ws: Workspace, args) -> int:
-    pointed = args.point1 is not None or args.point2 is not None
-    flags = [f for f, on in (("--bound", args.bound is not None),
-                             ("--witness", args.witness)) if on]
-    if args.iso and (pointed or flags):
+    if (args.point1 is None) != (args.point2 is None):
+        raise EpiupdateError("give both points or neither")
+    pointed = args.point1 is not None
+    bounded = args.bound is not None
+    if args.iso and (pointed or bounded or args.witness):
         raise EpiupdateError("--iso takes no --point1, --point2, --bound or --witness")
-    if flags and not pointed:
-        raise EpiupdateError(f"{flags[0]} needs --point1 and --point2")
-    if len(flags) == 2:
+    if (bounded or args.witness) and not pointed:
+        raise EpiupdateError("--bound or --witness needs --point1 and --point2")
+    if bounded and args.witness:
         raise EpiupdateError("--bound and --witness cannot be combined")
     left = resolve_model_expr(ws, args.left)
     right = resolve_model_expr(ws, args.right)
@@ -163,9 +164,7 @@ def cmd_bisim(ws: Workspace, args) -> int:
         ok = isomorphic(left, right)
         print("isomorphic" if ok else "not isomorphic")
         return 0 if ok else 1
-    if (args.point1 is None) != (args.point2 is None):
-        raise EpiupdateError("give both points or neither")
-    if args.point1 is not None:
+    if pointed:
         w = left.world_named(args.point1)
         v = right.world_named(args.point2)
         if args.bound is not None:
