@@ -112,8 +112,9 @@ def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
     n = len(atom_list)
     total = len(pattern.graphs) * (2 ** n)
     if total > MAX_INDUCED_ACTIONS:
+        size = total if total < 2 ** 64 else f"{len(pattern.graphs)} * 2^{n}"
         raise EpiupdateError(
-            f"induced action model would have {total} actions "
+            f"induced action model would have {size} actions "
             f"(cap {MAX_INDUCED_ACTIONS}); apply it lazily instead of materializing")
 
     subsets = [frozenset(atom_list[i] for i in range(n) if bits >> i & 1)

@@ -15,9 +15,11 @@ down exactly the worlds an agent cannot distinguish.
 An agent's view after sigma.R is its sender set in R with those senders'
 views after sigma (Fagin, Halpern, Moses & Vardi, *Reasoning About
 Knowledge*, 1995), read off the history variables of the round before,
-and built once per class of the senders' group.  Views are hash-consed
-(Filliatre & Conchon, 2006) through a weak table that keeps none alive,
-so a history round and an induced chain that are alive together share
+once per class of the senders' group.  This is the one view stepper over
+models: universes of history variables are read off history rounds,
+which the world cap bounds; ``view_of`` is its abstract step.  Views are
+hash-consed (Filliatre & Conchon, 2006) through a weak table that keeps
+none alive, so a history round and an induced chain alive together share
 their history variables, and valuations compare them by identity.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
@@ -146,20 +148,13 @@ def _leaf_names(view: View) -> list:
     return ["?" if view.initial is None else ",".join(sorted(map(str, view.initial)))]
 
 
-def _advance(views: tuple, graph, agents) -> tuple:
-    """The round step on one history: every agent's view after a round
-    with ``graph``, from the views before it (both in ``agents`` order)."""
-    before = dict(zip(agents, views))
-    return tuple(View(a, [before[b] for b in sorted(graph.heard[a])]) for a in agents)
-
-
 def view_of(agent: str, history) -> View:
     """The abstract view of an agent on a sequence of communication graphs."""
-    views = agents = ()
+    views = {}
     for graph in history:
-        agents = graph.agents
-        views = _advance(views or tuple(map(View, agents)), graph, agents)
-    return views[agents.index(agent)] if views else View(agent)
+        views = {a: View(a, [views.get(b) or View(b) for b in sorted(graph.heard[a])])
+                 for a in graph.agents}
+    return views[agent] if views else View(agent)
 
 
 def atom_holds(valuation: frozenset, atom) -> bool:
@@ -278,13 +273,14 @@ def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> Histor
 # -- history variable universes ----------------------------------------------
 
 def _round_layers(rounds, base: EpistemicModel):
-    """Per round of a pattern sequence, the history variables it realizes
-    from every start in ``base``, stepped one layer of views at a time."""
-    agents = base.agents
-    layer = {_latest_views(base, i, 0) for i in range(len(base.worlds))}
+    """Per round of a pattern sequence, the history variables of its history
+    round on ``base``; a base holding any fails, even with no rounds."""
+    for i in range(len(base.worlds)):
+        _latest_views(base, i, 0)
+    h = history_start(base)
     for pattern in rounds:
-        layer = {_advance(views, g, agents) for views in layer for g in pattern.graphs}
-        yield frozenset(view for views in layer for view in views)
+        h = history_update(h, pattern)
+        yield frozenset(p for p in realized_history_atoms(h) if p.depth == h.round)
 
 
 def round_variables(rounds, base: EpistemicModel) -> frozenset:

@@ -59,8 +59,10 @@ def world_cap() -> int:
 def ensure_capacity(n_worlds: int) -> None:
     cap = world_cap()
     if n_worlds > cap:
+        e = (n_worlds & -n_worlds).bit_length() - 1  # Python prints no int past 4,300 digits
+        size = n_worlds if n_worlds < 2 ** 64 else f"{n_worlds >> e} * 2^{e}"
         raise ModelCapError(
-            f"product would have {n_worlds} worlds, exceeding the cap of {cap} "
+            f"product would have {size} worlds, exceeding the cap of {cap} "
             f"(raise EPIUPDATE_MAX_WORLDS to override)"
         )
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from .comm import CommPattern, parse_graph_literal
-from .errors import FormulaSyntaxError, UnknownNameError
+from .errors import EpiupdateError, FormulaSyntaxError, UnknownNameError
 from .formulas import (
     ActionBox, DKnow, Formula, Neg, PatternBox, Top, Var,
     action_box_all, conj, dual_dknow, dual_knows, knows, pattern_box_all,
@@ -276,10 +276,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "IDENT":
             self.next()
-            for g in pattern.graphs:
-                if g.name == value:
-                    return g
-            raise FormulaSyntaxError(f"pattern has no graph named {value!r}", pos)
+            try:
+                return pattern.graph_named(value)
+            except EpiupdateError as exc:
+                raise FormulaSyntaxError(str(exc), pos) from None
         if kind == "LBRACE":
             literal, endpos = self.consume_braced()
             try:

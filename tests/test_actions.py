@@ -66,6 +66,19 @@ class TestInducedModel:
         with pytest.raises(EpiupdateError, match="lazily"):
             induced_action_model(byz_pattern(), many)
 
+    def test_guard_message_past_printable_ints(self):
+        # 3 * 2^15000 has more digits than Python prints, so the count is
+        # written as graphs * 2^atoms; up to 2^64 it stays a number
+        from epiupdate import Atom
+        with pytest.raises(EpiupdateError) as exc:
+            induced_action_model(immediate_snapshot(), [Atom(f"x{i}", "a") for i in range(15000)])
+        assert str(exc.value) == ("induced action model would have 3 * 2^15000 actions "
+                                  "(cap 1048576); apply it lazily instead of materializing")
+        for n, count in ((63, "3 * 2^63"), (62, "13835058055282163712")):
+            with pytest.raises(EpiupdateError) as exc:
+                induced_action_model(immediate_snapshot(), [Atom(f"x{i}", "a") for i in range(n)])
+            assert f" have {count} actions " in str(exc.value)
+
 
 class TestActionUpdate:
     def test_byz_products_isomorphic(self):

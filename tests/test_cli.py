@@ -203,6 +203,21 @@ class TestInduce:
         assert len(doc["actions"]) > 4
         assert any("_b" in a["pre"] or "ab_b" in a["pre"] for a in doc["actions"])
 
+    def test_history_universe_under_the_world_cap(self, capsys, monkeypatch):
+        # the round-5 universe is read off four IS rounds on the 8-world
+        # interpreted system; the third has 216 worlds
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "100")
+        code, out, err = run(capsys, "induce", "IS", "--round", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: product would have 216 worlds, exceeding the cap of 100 "
+                       "(raise EPIUPDATE_MAX_WORLDS to override)\n")
+
+    def test_huge_induced_size_written_as_a_power(self, capsys):
+        code, out, err = run(capsys, "induce", "IS", "--round", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: induced action model would have 3 * 2^95 actions "
+                       "(cap 1048576); apply it lazily instead of materializing\n")
+
     def test_round_two_action_ids_distinct_and_seed_free(self):
         # history variables that print alike differ in their leaf content,
         # which the ids show

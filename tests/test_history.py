@@ -236,8 +236,11 @@ class TestRoundUpdate:
             induced_chain(h1, [isp], [P_A, P_B])
         with pytest.raises(EpiupdateError, match=start):
             induced_round_product(h1, isp, [P_A, P_B], h1, 0)
-        with pytest.raises(EpiupdateError, match=start):
-            round_variables([isp], h1)
+        for rounds in ([isp], []):
+            with pytest.raises(EpiupdateError, match=start):
+                round_variables(rounds, h1)
+            with pytest.raises(EpiupdateError, match=start):
+                history_atoms_below(rounds, h1)
         # a later round of a proper start reads its views as before
         assert history_update(h1, isp).round == 2
 
@@ -413,6 +416,17 @@ class TestRoundVariableUniverses:
         below2 = history_atoms_below([isp, isp], sq)
         assert round_variables([isp], sq) < below2
 
+    def test_universes_bounded_by_the_world_cap(self, monkeypatch):
+        # two IS rounds on Sq have 36 worlds: the universe is read off them,
+        # so the cap stops it like any product
+        sq, isp = sq_model(), immediate_snapshot()
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "30")
+        with pytest.raises(ModelCapError, match="product would have 36 worlds"):
+            round_variables([isp, isp], sq)
+        with pytest.raises(ModelCapError, match="product would have 36 worlds"):
+            history_atoms_below([isp, isp], sq)
+        assert len(round_variables([isp], sq)) == 12
+
 
 class TestDisplayedPointSets:
     def test_empty_vocabulary_round_one_matches(self):
@@ -458,6 +472,19 @@ class TestDisplayedPointSets:
         monkeypatch.delenv("EPIUPDATE_MAX_WORLDS")
         with pytest.raises(ModelCapError):
             displayed_round_points(isp, (rab, rab, rab), [P_A, P_B], sq)
+
+    def test_point_count_message_past_printable_ints(self, monkeypatch):
+        # 2^15000 paths have more digits than Python prints: the cap error
+        # writes the count as k * 2^e
+        from epiupdate import Atom
+        from epiupdate.history import displayed_round_points
+        sq, isp = sq_model(), immediate_snapshot()
+        many = [Atom(f"x{i}", "a") for i in range(15000)]
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "1000")
+        with pytest.raises(ModelCapError) as exc:
+            displayed_round_points(isp, (graph("Rab", isp),), many, sq)
+        assert str(exc.value) == ("product would have 1 * 2^15000 worlds, exceeding the "
+                                  "cap of 1000 (raise EPIUPDATE_MAX_WORLDS to override)")
 
 
 class TestReferenceViews:

@@ -98,6 +98,13 @@ class TestErrors:
         with pytest.raises(FormulaSyntaxError, match="not in the pattern"):
             ws.parse("[Byz:{b->a}] p_a")
 
+    def test_unknown_graph_name(self, ws):
+        # the pattern's own lookup, re-raised at the graph name's position
+        with pytest.raises(FormulaSyntaxError) as exc:
+            ws.parse("(p_a & [IS:Rab] [Byz:  nope] p_a)")
+        assert str(exc.value) == "pattern has no graph named 'nope' (at position 23)"
+        assert exc.value.position == 23
+
     def test_position_reported(self, ws):
         with pytest.raises(FormulaSyntaxError, match="position"):
             ws.parse("(p_a &")
