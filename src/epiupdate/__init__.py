@@ -38,7 +38,7 @@ from .models import (
     Atom, EpistemicModel, PointedModel, full_interpreted_system,
     group_relation, is_interpreted_system, is_local, world_name,
 )
-from .parser import ParserContext, parse_formula
+from .parser import parse_formula
 from .search import (
     ActionUpdate, PatternUpdate, check_circular_chain,
     find_equivalent_pattern, fresh_variable_counterexample, update_equivalent_on,

@@ -171,6 +171,8 @@ def compose(first: ActionModel, second: ActionModel) -> ActionModel:
     """
     if first.agents != second.agents:
         raise ValueError("composed action models must share one agent set")
+    ensure_capacity(len(first.actions) * len(second.actions),
+                    "composition would have {} actions")
     actions = tuple((e, f) for e in first.actions for f in second.actions)
     pre = {(e, f): Conj(first.pre[e], ActionBox(first, e, second.pre[f]))
            for (e, f) in actions}

@@ -118,9 +118,7 @@ def cmd_update(ws: Workspace, args) -> int:
     if args.rounds < 1:
         raise EpiupdateError("--rounds must be at least 1")
     steps = (getattr(args, "steps", None) or []) * args.rounds
-    if args.model not in ws.models:
-        raise EpiupdateError(f"unknown model {args.model!r}")
-    current = ws.models[args.model]
+    current = ws.lookup("model", args.model)
     if args.history:
         current = history_start(current)
     for op, name in steps:
@@ -190,15 +188,10 @@ def cmd_bisim(ws: Workspace, args) -> int:
 
 
 def cmd_induce(ws: Workspace, args) -> int:
-    if args.pattern not in ws.patterns:
-        raise EpiupdateError(f"unknown pattern {args.pattern!r}")
-    pattern = ws.patterns[args.pattern]
+    pattern = ws.lookup("pattern", args.pattern)
     if args.atoms is not None:
-        atoms = set()
-        for name in filter(None, (s.strip() for s in args.atoms.split(","))):
-            if name not in ws.atoms:
-                raise EpiupdateError(f"unknown atom {name!r}")
-            atoms.add(ws.atoms[name])
+        atoms = {ws.lookup("atom", name)
+                 for name in filter(None, (s.strip() for s in args.atoms.split(",")))}
     else:
         atoms = set(ws.atom_set)
     if args.round < 1:
@@ -230,9 +223,7 @@ def _parse_target(ws: Workspace, spec: str):
             "or pattern:NAME[:GRAPH]")
     if kind == "pattern":
         pname, _, gname = rest.partition(":")
-        if pname not in ws.patterns:
-            raise EpiupdateError(f"unknown pattern {pname!r}")
-        pattern = ws.patterns[pname]
+        pattern = ws.lookup("pattern", pname)
         graph = pattern.graph_named(gname) if gname else None
         return PatternUpdate(pattern, graph)
     if kind == "announce":
@@ -240,9 +231,7 @@ def _parse_target(ws: Workspace, spec: str):
     elif kind == "whether":
         u = whether_announce(ws.parse(rest), ws.agents)
     elif kind == "action":
-        if rest not in ws.action_models:
-            raise EpiupdateError(f"unknown action model {rest!r}")
-        u = ws.action_models[rest]
+        u = ws.lookup("action model", rest)
     else:
         raise EpiupdateError(f"unknown target kind {kind!r}")
     return ActionUpdate(MultiPointedActionModel(u, frozenset(u.actions)))

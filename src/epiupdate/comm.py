@@ -203,6 +203,7 @@ def enumerate_graphs(agents) -> tuple[CommGraph, ...]:
     if not ags:
         raise ValueError("agent set must be nonempty")
     off_diag = [(s, r) for s in ags for r in ags if s != r]
+    ensure_capacity(2 ** len(off_diag), "enumeration would have {} graphs")
     graphs = []
     for k in range(len(off_diag) + 1):
         for chosen in combinations(off_diag, k):

@@ -20,6 +20,9 @@ class Formula:
 
     __slots__ = ()
 
+    def __str__(self):
+        return format_formula(self)
+
 
 @dataclass(frozen=True)
 class Var(Formula):
@@ -27,33 +30,21 @@ class Var(Formula):
 
     atom: object
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Top(Formula):
     """The constant true formula (the empty description)."""
-
-    def __str__(self):
-        return "true"
 
 
 @dataclass(frozen=True)
 class Neg(Formula):
     sub: Formula
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Conj(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return format_formula(self)
 
 
 @dataclass(frozen=True)
@@ -68,9 +59,6 @@ class DKnow(Formula):
         if not self.group:
             raise ValueError("distributed knowledge requires a nonempty agent group")
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class PatternBox(Formula):
@@ -84,9 +72,6 @@ class PatternBox(Formula):
         if self.graph not in self.pattern:
             raise ValueError(f"graph {self.graph.name} is not in the pattern")
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class ActionBox(Formula):
@@ -99,9 +84,6 @@ class ActionBox(Formula):
     def __post_init__(self):
         if self.action not in self.model.action_set:
             raise ValueError("action does not belong to the action model")
-
-    def __str__(self):
-        return format_formula(self)
 
 
 TRUE = Top()

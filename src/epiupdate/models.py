@@ -56,13 +56,15 @@ def world_cap() -> int:
     return int(raw)
 
 
-def ensure_capacity(n_worlds: int) -> None:
+def ensure_capacity(count: int, what: str = "product would have {} worlds") -> None:
+    """Raise ModelCapError if ``count`` things (worlds unless ``what`` names
+    others) exceed the cap, before any of them is built."""
     cap = world_cap()
-    if n_worlds > cap:
-        e = (n_worlds & -n_worlds).bit_length() - 1  # Python prints no int past 4,300 digits
-        size = n_worlds if n_worlds < 2 ** 64 else f"{n_worlds >> e} * 2^{e}"
+    if count > cap:
+        e = (count & -count).bit_length() - 1  # Python prints no int past 4,300 digits
+        size = count if count < 2 ** 64 else f"{count >> e} * 2^{e}"
         raise ModelCapError(
-            f"product would have {size} worlds, exceeding the cap of {cap} "
+            f"{what.format(size)}, exceeding the cap of {cap} "
             f"(raise EPIUPDATE_MAX_WORLDS to override)"
         )
 

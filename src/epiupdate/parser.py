@@ -18,19 +18,21 @@ Grammar (OP is one of ``&``, ``|``, ``->``, ``<->``)::
 over all graphs (or actions) of NAME.  Disjunction, implication,
 equivalence and the duals are expanded at parse time; the syntax tree
 only ever contains the six core constructors.
+
+Names resolve in the workspace given to :func:`parse_formula`: its
+agents, atoms, patterns and action models.  An atom it lacks may still
+name an abstract first-round view (``a_a``, ``ab_b``).
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .comm import CommPattern, parse_graph_literal
-from .errors import EpiupdateError, FormulaSyntaxError, UnknownNameError
+from .errors import EpiupdateError, FormulaSyntaxError
 from .formulas import (
     ActionBox, DKnow, Formula, Neg, PatternBox, Top, Var,
     action_box_all, conj, dual_dknow, dual_knows, knows, pattern_box_all,
 )
-from .models import Atom
 
 _TOKEN_RE = re.compile(
     r"""
@@ -66,57 +68,18 @@ RESERVED = {"D", "K", "hK", "hD", "true", "false"}
 MAX_NESTING = 128
 
 
-@dataclass
-class ParserContext:
-    """Name resolution environment for the parser.
-
-    With ``loose=True`` (the default when no context is given) unknown
-    atoms are created on the fly and agents are not checked; pattern and
-    action-model names still need to be registered to be usable.
-    """
-
-    agents: tuple = ()
-    atoms: dict = field(default_factory=dict)          # "p_a" -> Atom
-    patterns: dict = field(default_factory=dict)       # name -> CommPattern
-    action_models: dict = field(default_factory=dict)  # name -> ActionModel
-    loose: bool = False
-
-    def resolve_atom(self, base: str, owner: str):
-        key = f"{base}_{owner}"
-        hit = self.atoms.get(key)
-        if hit is not None:
-            return hit
-        if self.loose:
-            return Atom(base, owner)
-        hv = self._try_history_variable(base, owner)
-        if hv is not None:
-            return hv
-        raise UnknownNameError(f"unknown atom {key}")
-
-    def _try_history_variable(self, base: str, owner: str):
-        # first-round view variables like a_a or ab_b: the base spells the
-        # sorted set of agents the owner heard from
-        if not all(len(a) == 1 for a in self.agents):
-            return None
-        group = tuple(base)
-        if list(group) != sorted(set(group)):
-            return None
-        if any(a not in self.agents for a in group) or owner not in group:
-            return None
-        from .history import View
-        # abstract first-round view: matches by shape, regardless of content
-        return View(owner, map(View, group))
-
-    def check_agent(self, name: str, pos: int):
-        if not self.loose and name not in self.agents:
-            raise FormulaSyntaxError(f"unknown agent {name!r}", pos)
-
-    def bracket_target(self, name: str, pos: int):
-        if name in self.patterns:
-            return "pattern", self.patterns[name]
-        if name in self.action_models:
-            return "action", self.action_models[name]
-        raise FormulaSyntaxError(f"unknown pattern or action model {name!r}", pos)
+def first_round_view(token: str, agents):
+    """The abstract first-round view a token such as ``a_a`` or ``ab_b``
+    names, or None: the base spells the sorted set of one-letter agents
+    the owner heard from, and matches any view of that shape."""
+    base, owner = token.rsplit("_", 1)
+    group = tuple(base)
+    if not all(len(a) == 1 for a in agents) or list(group) != sorted(set(group)):
+        return None
+    if any(a not in agents for a in group) or owner not in group:
+        return None
+    from .history import View
+    return View(owner, map(View, group))
 
 
 def _tokenize(text: str):
@@ -135,11 +98,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, context: ParserContext):
+    def __init__(self, text: str, ws):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.ctx = context
+        self.ws = ws
         self.depth = 0
 
     def peek(self):
@@ -173,11 +136,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "ATOM":
             self.next()
-            base, owner = value.rsplit("_", 1)
-            try:
-                return Var(self.ctx.resolve_atom(base, owner))
-            except UnknownNameError as exc:
-                raise FormulaSyntaxError(str(exc), pos) from None
+            atom = self.ws.atoms.get(value) or first_round_view(value, self.ws.agents)
+            if atom is None:
+                raise FormulaSyntaxError(f"unknown atom {value}", pos)
+            return Var(atom)
         if kind == "TILDE":
             self.next()
             return Neg(self.formula())
@@ -202,7 +164,7 @@ class _Parser:
                 _, agent, apos = self.next("IDENT")
                 if agent in RESERVED:
                     raise FormulaSyntaxError(f"{agent!r} is reserved", apos)
-                self.ctx.check_agent(agent, apos)
+                self.check_agent(agent, apos)
                 sub = self.formula()
                 return knows(agent, sub) if value == "K" else dual_knows(agent, sub)
             raise FormulaSyntaxError(f"unexpected name {value!r}", pos)
@@ -230,7 +192,7 @@ class _Parser:
         agents = []
         while True:
             _, name, pos = self.next("IDENT")
-            self.ctx.check_agent(name, pos)
+            self.check_agent(name, pos)
             agents.append(name)
             kind, _, _ = self.next()
             if kind == "RBRACE":
@@ -239,10 +201,19 @@ class _Parser:
                 raise FormulaSyntaxError("expected ',' or '}' in agent group", pos)
         return frozenset(agents)
 
+    def check_agent(self, name: str, pos: int):
+        if name not in self.ws.agents:
+            raise FormulaSyntaxError(f"unknown agent {name!r}", pos)
+
     def modality(self) -> Formula:
         self.next("LBRACK")
         _, name, npos = self.next("IDENT")
-        target_kind, target = self.ctx.bracket_target(name, npos)
+        if name in self.ws.patterns:
+            target_kind, target = "pattern", self.ws.patterns[name]
+        elif name in self.ws.action_models:
+            target_kind, target = "action", self.ws.action_models[name]
+        else:
+            raise FormulaSyntaxError(f"unknown pattern or action model {name!r}", npos)
         kind, value, pos = self.next()
 
         if kind == "RBRACK":
@@ -308,8 +279,7 @@ class _Parser:
         return self.text[start:end], end
 
 
-def parse_formula(text: str, context: ParserContext | None = None) -> Formula:
-    """Parse formula text; raises FormulaSyntaxError with a position on bad input."""
-    if context is None:
-        context = ParserContext(loose=True)
-    return _Parser(text, context).parse()
+def parse_formula(text: str, ws) -> Formula:
+    """Parse formula text, resolving its names in the workspace ``ws``;
+    raises FormulaSyntaxError with a position on bad input."""
+    return _Parser(text, ws).parse()

@@ -19,6 +19,10 @@ A workspace file is a single JSON document::
 
 Relations are given as block lists.  All names must be unique across the
 workspace so that ``[NAME]`` in formulas resolves unambiguously.
+
+The workspace is the one name table: the CLI resolves model, pattern,
+action-model and atom names with :meth:`Workspace.lookup`, and the
+formula parser reads the same tables.
 """
 from __future__ import annotations
 
@@ -32,7 +36,12 @@ from .fixtures import (
     skip, sq_model, universal_pattern, P_A, P_B, Q_A, AGENTS_AB,
 )
 from .models import Atom, EpistemicModel, atom_key, blocks_of, _sorted_agents, world_name
-from .parser import ParserContext, parse_formula
+from .parser import parse_formula
+
+
+# the table each kind of name is looked up in
+_TABLES = {"model": "models", "pattern": "patterns", "action model": "action_models",
+           "atom": "atoms"}
 
 
 class Workspace:
@@ -57,13 +66,15 @@ class Workspace:
     def atom_set(self) -> frozenset:
         return frozenset(self.atoms.values())
 
-    def parser_context(self) -> ParserContext:
-        return ParserContext(agents=self.agents, atoms=dict(self.atoms),
-                             patterns=dict(self.patterns),
-                             action_models=dict(self.action_models))
+    def lookup(self, kind: str, name: str):
+        """The model, pattern, action model or atom (``kind``) called ``name``."""
+        table = getattr(self, _TABLES[kind])
+        if name not in table:
+            raise UnknownNameError(f"unknown {kind} {name!r}")
+        return table[name]
 
     def parse(self, text: str):
-        return parse_formula(text, self.parser_context())
+        return parse_formula(text, self)
 
 
 def default_workspace() -> Workspace:
@@ -131,11 +142,9 @@ def model_to_json(model: EpistemicModel) -> dict:
     return out
 
 
-def action_model_from_json(obj, agents, workspace: Workspace | None = None,
-                           name=None) -> ActionModel:
-    context = workspace.parser_context() if workspace is not None else None
+def action_model_from_json(obj, agents, workspace: Workspace, name=None) -> ActionModel:
     actions = [e["id"] for e in obj["actions"]]
-    pre = {e["id"]: parse_formula(e["pre"], context) for e in obj["actions"]}
+    pre = {e["id"]: workspace.parse(e["pre"]) for e in obj["actions"]}
     relations = {a: [list(blk) for blk in blocks]
                  for a, blocks in obj["relations"].items()}
     return ActionModel(actions, relations, pre, agents=agents, name=name)
@@ -235,28 +244,26 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
     if not tokens:
         raise UnknownNameError("empty model expression")
 
-    def take_operand(i):
+    def take_operand(op, i):
         if i == len(tokens):
             raise UnknownNameError(f"missing operand after {tokens[-1]!r}")
         if tokens[i] == "U" and i + 1 < len(tokens) and tokens[i + 1] == "(":
             if i + 3 >= len(tokens) or tokens[i + 3] != ")":
                 raise UnknownNameError("malformed induced-model reference")
-            pname = tokens[i + 2]
-            if pname not in ws.patterns:
-                raise UnknownNameError(f"unknown pattern {pname!r}")
-            return induced_action_model(ws.patterns[pname], ws.atom_set), i + 4
+            pattern = ws.lookup("pattern", tokens[i + 2])
+            if op == "odot":
+                raise UnknownNameError(
+                    f"'odot' takes a pattern, but U({tokens[i + 2]}) is an action model")
+            return induced_action_model(pattern, ws.atom_set), i + 4
         return tokens[i], i + 1
 
-    name = tokens[0]
-    if name not in ws.models:
-        raise UnknownNameError(f"unknown model {name!r}")
-    current = ws.models[name]
+    current = ws.lookup("model", tokens[0])
     i = 1
     while i < len(tokens):
         op = tokens[i]
         if op not in ("odot", "otimes"):
             raise UnknownNameError(f"expected 'odot' or 'otimes', found {op!r}")
-        operand, i = take_operand(i + 1)
+        operand, i = take_operand(op, i + 1)
         current = apply_step(ws, current, op, operand)
     return current
 
@@ -265,11 +272,7 @@ def apply_step(ws: Workspace, model: EpistemicModel, op: str, operand) -> Episte
     """One update step: ``odot`` a pattern name, ``otimes`` an action model
     or the name of one, taken by the model's own ``step``."""
     if op == "odot":
-        if not isinstance(operand, str) or operand not in ws.patterns:
-            raise UnknownNameError(f"unknown pattern {operand!r}")
-        operand = ws.patterns[operand]
+        operand = ws.lookup("pattern", operand)
     elif isinstance(operand, str):
-        if operand not in ws.action_models:
-            raise UnknownNameError(f"unknown action model {operand!r}")
-        operand = ws.action_models[operand]
+        operand = ws.lookup("action model", operand)
     return model.step(operand)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from epiupdate import (
-    ActionModel, EpiupdateError, EpistemicModel, MultiPointedActionModel, Neg, Var,
+    ActionModel, EpiupdateError, EpistemicModel, ModelCapError, MultiPointedActionModel,
+    Neg, Var,
     action_update, announce, apply_induced, compose,
     full_interpreted_system, induced_action_model, isomorphic,
     model_as_action_model, pattern_update, skip_model,
@@ -163,6 +164,15 @@ class TestCompose:
             v = announce(Neg(Var(P_A)), m.agents)
             assert isomorphic(action_update(m, compose(u, v)),
                               action_update(action_update(m, u), v))
+
+    def test_composition_under_the_world_cap(self, monkeypatch):
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "3")
+        u = whether_announce(Var(P_A), AB)
+        with pytest.raises(ModelCapError) as exc:
+            compose(u, u)
+        assert str(exc.value) == ("composition would have 4 actions, exceeding the cap "
+                                  "of 3 (raise EPIUPDATE_MAX_WORLDS to override)")
+        assert len(compose(u, skip_model(AB)).actions) == 2
 
 
 class TestModelAsActionModel:

@@ -305,6 +305,20 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == f"error: pattern size cap must be at least 1, not {cap}\n"
 
+    def test_five_agent_search_exits_two(self, capsys, tmp_path):
+        # 2^20 graphs on five agents: refused before any is built
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "agents": list("abcde"),
+            "models": {"M": {"worlds": [{"id": "w"}],
+                             "relations": {a: [["w"]] for a in "abcde"}}},
+            "patterns": {"P": ["{}"]}}))
+        code, out, err = run(capsys, "--workspace", str(path), "search",
+                             "--bases", "M:w", "--target", "pattern:P")
+        assert (code, out) == (2, "")
+        assert err == ("error: enumeration would have 1048576 graphs, exceeding the cap "
+                       "of 100000 (raise EPIUPDATE_MAX_WORLDS to override)\n")
+
     @pytest.mark.parametrize("argv", [
         ("dot", "Sq odot"),
         ("dot", "Sq otimes"),
@@ -315,6 +329,40 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: missing operand after ")
+
+
+class TestUnknownNames:
+    """Every name route exits 2 with empty stdout and one exact stderr line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["update", "Nope"], "unknown model 'Nope'"),
+        (["update", "Sq", "--with", "Nope"], "unknown pattern 'Nope'"),
+        (["update", "Sq", "--with-action", "Nope"], "unknown action model 'Nope'"),
+        (["dot", "Nope odot IS"], "unknown model 'Nope'"),
+        (["dot", "Sq odot Nope"], "unknown pattern 'Nope'"),
+        (["dot", "Sq otimes Nope"], "unknown action model 'Nope'"),
+        (["dot", "Sq otimes U(Nope)"], "unknown pattern 'Nope'"),
+        (["dot", "Sq odot U(IS)"], "'odot' takes a pattern, but U(IS) is an action model"),
+        (["search", "--bases", "Nope:11", "--target", "pattern:Byz"],
+         "unknown model 'Nope'"),
+        (["search", "--bases", "Sq:11", "--target", "pattern:Nope"],
+         "unknown pattern 'Nope'"),
+        (["search", "--bases", "Sq:11", "--target", "action:Nope"],
+         "unknown action model 'Nope'"),
+        (["induce", "Nope"], "unknown pattern 'Nope'"),
+        (["induce", "IS", "--atoms", "p_a,zz_q"], "unknown atom 'zz_q'"),
+        (["check", "Sq", "11", "zz_q"], "unknown atom zz_q (at position 0)"),
+        (["check", "Sq", "11", "(p_a & ab_ab)"], "unknown atom ab_ab (at position 7)"),
+        (["check", "Sq", "11", "(p_a & K z p_a)"], "unknown agent 'z' (at position 9)"),
+        (["check", "Sq", "11", "D{a,z} p_a"], "unknown agent 'z' (at position 4)"),
+        (["check", "Sq", "11", "[Nope] p_a"],
+         "unknown pattern or action model 'Nope' (at position 1)"),
+        (["iunf", "[IS:Rab] zz_q"], "unknown atom zz_q (at position 9)"),
+    ])
+    def test_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestAcrossHashSeeds:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from epiupdate import (
-    CommGraph, CommPattern, EpiupdateError, enumerate_graphs, identity_graph,
-    is_local, isomorphic, make_graph, models_bisimilar, parse_graph_literal,
+    CommGraph, CommPattern, EpiupdateError, ModelCapError, enumerate_graphs,
+    identity_graph, is_local, isomorphic, make_graph, models_bisimilar, parse_graph_literal,
     pattern_update, receivers_from, universal_graph,
 )
 from epiupdate.fixtures import (
@@ -54,6 +54,15 @@ class TestGraphs:
 
     def test_enumerate_three_agents(self):
         assert len(enumerate_graphs(("a", "b", "c"))) == 64
+
+    def test_enumeration_under_the_world_cap(self, monkeypatch):
+        # four agents have 2^12 graphs; the cap is checked before any is built
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "100")
+        with pytest.raises(ModelCapError) as exc:
+            enumerate_graphs("abcd")
+        assert str(exc.value) == ("enumeration would have 4096 graphs, exceeding the cap "
+                                  "of 100 (raise EPIUPDATE_MAX_WORLDS to override)")
+        assert len(enumerate_graphs("abc")) == 64
 
     def test_literals(self):
         g = parse_graph_literal("{a->b, b->a}", AB)

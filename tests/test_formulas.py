@@ -139,3 +139,19 @@ class TestInspection:
         assert [type(g).__name__ for g in subformulas(f)] == ["ActionBox", "Var", "Var"]
         with pytest.raises(TypeError):
             list(subformulas(Conj(Var(P_A), "p_b")))
+
+
+class TestPrinting:
+    def test_str_of_every_node_is_its_rendering(self):
+        from epiupdate import ActionBox, default_workspace
+        ws = default_workspace()
+        byz = ws.patterns["Byz"]
+        skip = ws.action_models["skip"]
+        a = Var(P_A)
+        nodes = {
+            a: "p_a", TRUE: "true", Neg(a): "~p_a", Conj(a, TRUE): "(p_a & true)",
+            DKnow("ab", a): "D{a,b} p_a",
+            PatternBox(byz, byz.graph_named("I"), a): "[Byz:I] p_a",
+            ActionBox(skip, "skip", a): "[skip.skip] p_a",
+        }
+        assert {f: str(f) for f in nodes} == nodes

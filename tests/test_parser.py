@@ -5,7 +5,7 @@ import pytest
 
 from epiupdate import (
     Conj, DKnow, FormulaSyntaxError, Neg, PatternBox, Top, Var, dual_knows,
-    format_formula, knows, parse_formula, satisfies,
+    format_formula, knows, satisfies,
 )
 from epiupdate.fixtures import P_A, P_B, sq_model
 from epiupdate.history import View
@@ -75,10 +75,6 @@ class TestCore:
         assert str(hv) == "ab_b"
         g = ws.parse("a_a")
         assert isinstance(g.atom, View)
-
-    def test_loose_mode(self):
-        f = parse_formula("(x_a & y_b)")
-        assert isinstance(f, Conj)
 
 
 class TestErrors:
