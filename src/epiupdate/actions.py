@@ -96,26 +96,17 @@ def action_update(model: EpistemicModel, action_model: ActionModel) -> Epistemic
     return EpistemicModel._trusted(worlds, labels, vals, model.agents)
 
 
-# larger induced models are applied lazily (apply_induced, induced_chain)
-MAX_INDUCED_ACTIONS = 1 << 20
-
-
 def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
     """The action model mirroring a communication pattern over a finite atom set.
 
     Actions are (graph, valuation) pairs with the full description of the
     valuation as precondition.  Agent ``a`` cannot tell two actions apart
     iff it hears from the same agents and the heard agents' atoms agree.
-    The size is exactly ``len(pattern) * 2**len(atoms)``.
+    The size, exactly ``len(pattern) * 2**len(atoms)``, must be within the world cap.
     """
     atom_list = tuple(sorted(set(atoms), key=atom_key))
     n = len(atom_list)
-    total = len(pattern.graphs) * (2 ** n)
-    if total > MAX_INDUCED_ACTIONS:
-        size = total if total < 2 ** 64 else f"{len(pattern.graphs)} * 2^{n}"
-        raise EpiupdateError(
-            f"induced action model would have {size} actions "
-            f"(cap {MAX_INDUCED_ACTIONS}); apply it lazily instead of materializing")
+    ensure_capacity(len(pattern.graphs) * 2 ** n, "induced action model would have {} actions")
 
     subsets = [frozenset(atom_list[i] for i in range(n) if bits >> i & 1)
                for bits in range(2 ** n)]

@@ -49,6 +49,9 @@ class Workspace:
                  action_models=None, formulas=None):
         self.agents = _sorted_agents(agents)
         self.atoms = {str(p): p for p in sorted(set(atoms), key=atom_key)}
+        for name, p in self.atoms.items():
+            if p.owner not in self.agents:
+                raise UnknownNameError(f"atom {name!r} is owned by unknown agent {p.owner!r}")
         self.models = dict(models or {})
         self.patterns = dict(patterns or {})
         self.action_models = dict(action_models or {})
@@ -225,6 +228,8 @@ def load_workspace(path) -> Workspace:
     for name, obj in doc.get("action_models", {}).items():
         ws.action_models[name] = action_model_from_json(obj, agents, ws, name=name)
     ws._check_names()
+    for text in ws.formulas.values():
+        ws.parse(text)
     return ws
 
 

@@ -64,21 +64,32 @@ class TestInducedModel:
     def test_materialization_guard(self):
         from epiupdate import Atom
         many = [Atom(f"x{i}", "a") for i in range(30)]
-        with pytest.raises(EpiupdateError, match="lazily"):
+        with pytest.raises(ModelCapError) as exc:
             induced_action_model(byz_pattern(), many)
+        assert str(exc.value) == ("induced action model would have 2147483648 actions, "
+                                  "exceeding the cap of 100000 "
+                                  "(raise EPIUPDATE_MAX_WORLDS to override)")
 
     def test_guard_message_past_printable_ints(self):
         # 3 * 2^15000 has more digits than Python prints, so the count is
-        # written as graphs * 2^atoms; up to 2^64 it stays a number
+        # written as k * 2^e; up to 2^64 it stays a number
         from epiupdate import Atom
-        with pytest.raises(EpiupdateError) as exc:
-            induced_action_model(immediate_snapshot(), [Atom(f"x{i}", "a") for i in range(15000)])
-        assert str(exc.value) == ("induced action model would have 3 * 2^15000 actions "
-                                  "(cap 1048576); apply it lazily instead of materializing")
-        for n, count in ((63, "3 * 2^63"), (62, "13835058055282163712")):
-            with pytest.raises(EpiupdateError) as exc:
+        for n, count in ((15000, "3 * 2^15000"), (63, "3 * 2^63"),
+                         (62, "13835058055282163712")):
+            with pytest.raises(ModelCapError) as exc:
                 induced_action_model(immediate_snapshot(), [Atom(f"x{i}", "a") for i in range(n)])
-            assert f" have {count} actions " in str(exc.value)
+            assert str(exc.value) == (f"induced action model would have {count} actions, "
+                                      "exceeding the cap of 100000 "
+                                      "(raise EPIUPDATE_MAX_WORLDS to override)")
+
+    def test_under_the_world_cap(self, monkeypatch):
+        # the cap the environment sets bounds induced models as it bounds products
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
+        with pytest.raises(ModelCapError) as exc:
+            induced_action_model(immediate_snapshot(), [P_A, P_B])
+        assert str(exc.value) == ("induced action model would have 12 actions, exceeding "
+                                  "the cap of 10 (raise EPIUPDATE_MAX_WORLDS to override)")
+        assert len(induced_action_model(immediate_snapshot(), [P_A]).actions) == 6
 
 
 class TestActionUpdate:

@@ -215,8 +215,16 @@ class TestInduce:
     def test_huge_induced_size_written_as_a_power(self, capsys):
         code, out, err = run(capsys, "induce", "IS", "--round", "3")
         assert (code, out) == (2, "")
-        assert err == ("error: induced action model would have 3 * 2^95 actions "
-                       "(cap 1048576); apply it lazily instead of materializing\n")
+        assert err == ("error: induced action model would have 3 * 2^95 actions, exceeding "
+                       "the cap of 100000 (raise EPIUPDATE_MAX_WORLDS to override)\n")
+
+    def test_induced_size_under_the_world_cap(self, capsys, monkeypatch):
+        # round 2 of Byz (two graphs) over p_a ranges over p_a and five history variables
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "100")
+        code, out, err = run(capsys, "induce", "Byz", "--round", "2", "--atoms", "p_a")
+        assert (code, out) == (2, "")
+        assert err == ("error: induced action model would have 128 actions, exceeding "
+                       "the cap of 100 (raise EPIUPDATE_MAX_WORLDS to override)\n")
 
     def test_round_two_action_ids_distinct_and_seed_free(self):
         # history variables that print alike differ in their leaf content,
@@ -421,6 +429,11 @@ def _model(worlds=({"id": "w1", "val": ["p_a"]}, {"id": "w2"}), **relations):
             "relations": {"a": [["w1"], ["w2"]], "b": [["w1", "w2"]], **relations}}
 
 
+def _action(pre):
+    return {"x": {"actions": [{"id": "e", "pre": pre}],
+                  "relations": {"a": [["e"]], "b": [["e"]]}}}
+
+
 def _drop(doc, *path):
     *parents, last = path
     inner = doc
@@ -454,13 +467,36 @@ class TestWorkspaceContract:
         (_workspace(M=_model(a=[["w1", "w2"], ["w2"]])),
          "overlapping blocks in relation of agent a"),
         ({**_workspace(M=_model()), "agents": ["a", "b", "a"]}, "duplicate agent 'a'"),
+        ({**_workspace(), "atoms": {"base": "p", "owner": "a"}}, "atoms: expected a list"),
+        ({**_workspace(), "patterns": {"P": []}},
+         "a communication pattern must contain at least one graph"),
+        ({**_workspace(), "patterns": {"P": ["{a->z}"]}}, "edge (a,z) mentions an unknown agent"),
+        ({**_workspace(), "patterns": {"P": ["a->b"]}}, "bad graph literal 'a->b'"),
+        (_workspace(M=_drop(_model(), "relations", "b")),
+         "relations must cover exactly the agent set"),
+        (_workspace(M=_model(worlds=[{"id": 1}, {"id": "w2"}])),
+         "models.M.worlds[0].id: expected a string"),
+        ({**_workspace(), "action_models": _action("(p_a &")},
+         "unexpected 'end of input' (at position 6)"),
+        ({**_workspace(), "patterns": {"P": ["{a->b}"]}, "action_models": _action("[P] p_a")},
+         "precondition of action 'e' contains a dynamic modality"),
+        ({**_workspace(M=_model()), "patterns": {"M": ["{a->b}"]}},
+         "duplicate workspace names: ['M']"),
+        ([_workspace()], "workspace: expected an object"),
+        ({**_workspace(), "formulas": {"goal": "(p_a & zz_q"}},
+         "unknown atom zz_q (at position 7)"),
+        ({**_workspace(), "atoms": [{"base": "p", "owner": "a"}, {"base": "q", "owner": "z"}]},
+         "atom 'q_z' is owned by unknown agent 'z'"),
     ])
     def test_exits_two(self, capsys, tmp_path, doc, message):
+        # every command loads the workspace first, so each rejects it alike
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "--workspace", str(path), "dot", "M")
-        assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
+        for argv in (["dot", "M"], ["check", "M", "w1", "p_a"], ["update", "M"],
+                     ["minimize", "M"], ["bisim", "M", "M"], ["induce", "I"], ["iunf", "p_a"],
+                     ["search", "--bases", "M:w1", "--target", "announce:p_a"]):
+            code, out, err = run(capsys, "--workspace", str(path), *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
     def test_nested_too_deeply_exits_two(self, capsys, tmp_path):
         # json.dumps cannot write this document, so it is not a case above
