@@ -18,25 +18,15 @@ from .errors import EpiupdateError
 from .formulas import format_formula
 from .history import history_atoms_below, history_start
 from .iunf import iunf_translate
-from .models import PointedModel, full_interpreted_system, world_name
+from .models import PointedModel, atom_named, full_interpreted_system, world_name
 from .search import (
     ActionUpdate, PatternUpdate, default_pattern_size_cap, pattern_verdicts, update_results,
 )
 from .semantics import satisfies, valid_on
 from .workspace import (
-    Workspace, action_model_to_json, apply_step, default_workspace, load_workspace,
-    model_to_json, resolve_model_expr,
+    Workspace, action_model_to_json, build_model_expr, default_workspace, load_workspace,
+    model_to_json, parse_model_expr, resolve_model_expr,
 )
-
-
-class _Step(argparse.Action):
-    """Collect --with/--with-action occurrences into one ordered step list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        steps = getattr(namespace, "steps", None) or []
-        op = "odot" if option_string == "--with" else "otimes"
-        steps.append((op, values))
-        namespace.steps = steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,9 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser("update", help="apply a pipeline of updates to a model")
     up.add_argument("model")
-    up.add_argument("--with", dest="steps", metavar="PATTERN", action=_Step,
-                    help="pattern update step (repeatable)")
-    up.add_argument("--with-action", dest="steps", metavar="ACTION", action=_Step,
+    # both flags append to one list, so the steps keep their order
+    up.add_argument("--with", dest="steps", metavar="PATTERN", action="append",
+                    type=lambda name: ("pattern", name), help="pattern update step (repeatable)")
+    up.add_argument("--with-action", dest="steps", metavar="ACTION", action="append",
+                    type=lambda name: ("action model", name),
                     help="action model update step (repeatable)")
     up.add_argument("--history", action="store_true",
                     help="record history variables round by round")
@@ -117,30 +109,33 @@ def _emit(text: str, path):
 def cmd_update(ws: Workspace, args) -> int:
     if args.rounds < 1:
         raise EpiupdateError("--rounds must be at least 1")
-    steps = (getattr(args, "steps", None) or []) * args.rounds
     current = ws.lookup("model", args.model)
+    named = args.steps or []
+    operands = []
+    for kind, name in named:
+        if args.history and kind != "pattern":
+            raise EpiupdateError("--history pipelines accept pattern steps only")
+        operands.append(ws.lookup(kind, name))
     if args.history:
         current = history_start(current)
-    for op, name in steps:
-        if args.history and op != "odot":
-            raise EpiupdateError("--history pipelines accept pattern steps only")
-        current = apply_step(ws, current, op, name)
-        if op == "otimes" and current.is_empty:
+    for (kind, name), operand in zip(named * args.rounds, operands * args.rounds):
+        current = current.step(operand)
+        if kind == "action model" and current.is_empty:
             raise EpiupdateError(f"update with {name!r} produced an empty model")
     _emit(json.dumps(model_to_json(current), indent=2) + "\n", args.output)
     return 0
 
 
 def cmd_check(ws: Workspace, args) -> int:
-    model = resolve_model_expr(ws, args.model)
+    if args.valid and args.world is not None:
+        raise EpiupdateError("--valid takes no world")
+    if not args.valid and args.world is None:
+        raise EpiupdateError("a world is required unless --valid is given")
+    base, steps = parse_model_expr(ws, args.model)
     f = ws.parse(args.formula)
-    if args.valid:
-        result = valid_on(model, f)
-    else:
-        if args.world is None:
-            raise EpiupdateError("a world is required unless --valid is given")
-        w = model.world_named(args.world)
-        result = satisfies(model, w, f)
+    model = build_model_expr(ws, base, steps)
+    result = (valid_on(model, f) if args.valid
+              else satisfies(model, model.world_named(args.world), f))
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -156,8 +151,8 @@ def cmd_bisim(ws: Workspace, args) -> int:
         raise EpiupdateError("--bound or --witness needs --point1 and --point2")
     if bounded and args.witness:
         raise EpiupdateError("--bound and --witness cannot be combined")
-    left = resolve_model_expr(ws, args.left)
-    right = resolve_model_expr(ws, args.right)
+    left, right = parse_model_expr(ws, args.left), parse_model_expr(ws, args.right)
+    left, right = build_model_expr(ws, *left), build_model_expr(ws, *right)
     if args.iso:
         ok = isomorphic(left, right)
         print("isomorphic" if ok else "not isomorphic")
@@ -190,7 +185,7 @@ def cmd_bisim(ws: Workspace, args) -> int:
 def cmd_induce(ws: Workspace, args) -> int:
     pattern = ws.lookup("pattern", args.pattern)
     if args.atoms is not None:
-        atoms = {ws.lookup("atom", name)
+        atoms = {atom_named(ws.atoms, name)
                  for name in filter(None, (s.strip() for s in args.atoms.split(",")))}
     else:
         atoms = set(ws.atom_set)
@@ -238,17 +233,17 @@ def _parse_target(ws: Workspace, spec: str):
 
 
 def cmd_search(ws: Workspace, args) -> int:
-    bases = []
+    refs = []
     for ref in filter(None, (s.strip() for s in args.bases.split(","))):
         if ":" not in ref:
             raise EpiupdateError("base references have the form MODEL:WORLD")
         mname, wname = ref.rsplit(":", 1)
-        model = resolve_model_expr(ws, mname.strip())
-        bases.append(PointedModel(model, model.world_named(wname.strip())))
-    if not bases:
+        refs.append((parse_model_expr(ws, mname.strip()), wname.strip()))
+    if not refs:
         raise EpiupdateError("at least one base is required")
-
     target = _parse_target(ws, args.target)
+    models = [build_model_expr(ws, *expr) for expr, _ in refs]
+    bases = [PointedModel(m, m.world_named(w)) for m, (_, w) in zip(models, refs)]
     agents = bases[0].model.agents
     cap = args.max_pattern_size
     if cap is None:

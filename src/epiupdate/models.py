@@ -107,6 +107,22 @@ class Atom:
         return f"{self.base}_{self.owner}"
 
 
+def atom_named(atoms_by_name: dict, name: str) -> Atom:
+    """The atom written ``name`` in a name-to-atom table."""
+    try:
+        return atoms_by_name[name]
+    except KeyError:
+        raise UnknownNameError(f"unknown atom {name!r}") from None
+
+
+def check_owners(atoms, agents) -> None:
+    """Raise UnknownNameError for the first atom, by :func:`atom_key`, not owned by an agent."""
+    stray = [p for p in atoms if p.owner not in agents]
+    if stray:
+        p = min(stray, key=atom_key)
+        raise UnknownNameError(f"atom {str(p)!r} is owned by unknown agent {p.owner!r}")
+
+
 def atom_key(atom) -> str:
     """Canonical sort key for anything atom-like, and its form in ids: a
     history variable adds its leaf content, so no two print alike."""
@@ -221,7 +237,7 @@ class EpistemicModel(_Partitioned):
         if not agents:
             raise ValueError("agent set must be nonempty")
         vals = tuple(frozenset(valuation.get(w, ())) for w in worlds)
-        self._validate_owners(worlds, vals, agents)
+        check_owners(frozenset().union(*vals), agents)
         self._assign(worlds, labels, vals, agents)
         bad = _locality_violation(self)
         if bad is not None:
@@ -249,19 +265,6 @@ class EpistemicModel(_Partitioned):
         """Each world's valuation, keyed by world id; derived on first use."""
         return dict(zip(self.worlds, self.vals))
 
-    # -- validation ------------------------------------------------------
-
-    @staticmethod
-    def _validate_owners(worlds: tuple, vals: tuple, agents: tuple):
-        ags = set(agents)
-        for w, val in zip(worlds, vals):
-            for p in val:
-                if p.owner not in ags:
-                    raise UnknownNameError(
-                        f"atom {p} at world {world_name(w)} is owned by "
-                        f"unknown agent {p.owner}"
-                    )
-
     # -- accessors -------------------------------------------------------
 
     def __len__(self):
@@ -281,7 +284,7 @@ class EpistemicModel(_Partitioned):
         if self.is_empty:
             raise EmptyModelError("pointed query against an empty model")
         if w not in self._index:
-            raise UnknownNameError(f"unknown world {world_name(w)}")
+            raise _unknown_world(w)
 
     def block_of(self, agent, world) -> frozenset:
         return self.relations[agent][self.labels[agent][self._index[world]]]
@@ -300,7 +303,11 @@ class EpistemicModel(_Partitioned):
         for w in self.worlds:
             if world_name(w) == name:
                 return w
-        raise UnknownNameError(f"no world named {name!r}")
+        raise _unknown_world(name)
+
+
+def _unknown_world(w) -> UnknownNameError:
+    return UnknownNameError(f"unknown world {world_name(w)!r}")
 
 
 @dataclass(frozen=True)

@@ -28,20 +28,24 @@ from __future__ import annotations
 import re
 
 from .comm import CommPattern, parse_graph_literal
-from .errors import EpiupdateError, FormulaSyntaxError
+from .errors import EpiupdateError, FormulaSyntaxError, UnknownNameError
 from .formulas import (
     ActionBox, DKnow, Formula, Neg, PatternBox, Top, Var,
     action_box_all, conj, dual_dknow, dual_knows, knows, pattern_box_all,
 )
+from .models import atom_named
+
+# a name as formulas write it; a workspace holds its agents and atom bases to it
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ATOM>[A-Za-z][A-Za-z0-9]*_[A-Za-z][A-Za-z0-9]*)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9]*)
+    rf"""
+    (?P<ATOM>{IDENT.pattern}_{IDENT.pattern})
+  | (?P<IDENT>{IDENT.pattern})
   | (?P<IFF><->)
   | (?P<ARROW>->)
-  | (?P<LBRACE>\{)
-  | (?P<RBRACE>\})
+  | (?P<LBRACE>\{{)
+  | (?P<RBRACE>\}})
   | (?P<LBRACK>\[)
   | (?P<RBRACK>\])
   | (?P<LPAREN>\()
@@ -136,10 +140,11 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "ATOM":
             self.next()
-            atom = self.ws.atoms.get(value) or first_round_view(value, self.ws.agents)
-            if atom is None:
-                raise FormulaSyntaxError(f"unknown atom {value}", pos)
-            return Var(atom)
+            try:
+                return Var(self.ws.atoms.get(value) or first_round_view(value, self.ws.agents)
+                           or atom_named(self.ws.atoms, value))
+            except UnknownNameError as exc:
+                raise FormulaSyntaxError(str(exc), pos) from None
         if kind == "TILDE":
             self.next()
             return Neg(self.formula())

@@ -20,28 +20,32 @@ A workspace file is a single JSON document::
 Relations are given as block lists.  All names must be unique across the
 workspace so that ``[NAME]`` in formulas resolves unambiguously.
 
-The workspace is the one name table: the CLI resolves model, pattern,
-action-model and atom names with :meth:`Workspace.lookup`, and the
-formula parser reads the same tables.
+The workspace is the one name table, checked when it is made: agents and
+atom bases are identifiers a formula can write, no agent is a reserved
+word such as ``K``, and every atom's owner is an agent.
+:func:`load_workspace` makes this table before it builds any model, and
+:func:`parse_model_expr` resolves every name of a model expression before
+:func:`build_model_expr` builds anything.
 """
 from __future__ import annotations
 
 import json
 
-from .actions import ActionModel
+from .actions import ActionModel, induced_action_model
 from .comm import CommPattern, parse_graph_literal
 from .errors import EpiupdateError, UnknownNameError
 from .fixtures import (
     byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot,
     skip, sq_model, universal_pattern, P_A, P_B, Q_A, AGENTS_AB,
 )
-from .models import Atom, EpistemicModel, atom_key, blocks_of, _sorted_agents, world_name
-from .parser import parse_formula
+from .models import (
+    Atom, EpistemicModel, atom_key, atom_named, blocks_of, check_owners, _sorted_agents,
+    world_name,
+)
+from .parser import IDENT, RESERVED, parse_formula
 
 
-# the table each kind of name is looked up in
-_TABLES = {"model": "models", "pattern": "patterns", "action model": "action_models",
-           "atom": "atoms"}
+_TABLES = {"model": "models", "pattern": "patterns", "action model": "action_models"}
 
 
 class Workspace:
@@ -49,18 +53,18 @@ class Workspace:
                  action_models=None, formulas=None):
         self.agents = _sorted_agents(agents)
         self.atoms = {str(p): p for p in sorted(set(atoms), key=atom_key)}
-        for name, p in self.atoms.items():
-            if p.owner not in self.agents:
-                raise UnknownNameError(f"atom {name!r} is owned by unknown agent {p.owner!r}")
+        unwritable = ([f"agent {a!r}" for a in self.agents
+                       if a in RESERVED or not IDENT.fullmatch(a)]
+                      + [f"atom base {p.base!r}" for p in self.atoms.values()
+                         if not IDENT.fullmatch(p.base)])
+        if unwritable:
+            raise ValueError(f"{unwritable[0]} cannot be written in a formula")
+        check_owners(self.atoms.values(), self.agents)
         self.models = dict(models or {})
         self.patterns = dict(patterns or {})
         self.action_models = dict(action_models or {})
         self.formulas = dict(formulas or {})
-        self._check_names()
-
-    def _check_names(self):
-        names = (list(self.models) + list(self.patterns)
-                 + list(self.action_models) + list(self.formulas))
+        names = [*self.models, *self.patterns, *self.action_models, *self.formulas]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise UnknownNameError(f"duplicate workspace names: {sorted(dupes)}")
@@ -70,7 +74,7 @@ class Workspace:
         return frozenset(self.atoms.values())
 
     def lookup(self, kind: str, name: str):
-        """The model, pattern, action model or atom (``kind``) called ``name``."""
+        """The model, pattern or action model (``kind``) called ``name``."""
         table = getattr(self, _TABLES[kind])
         if name not in table:
             raise UnknownNameError(f"unknown {kind} {name!r}")
@@ -99,26 +103,13 @@ def default_workspace() -> Workspace:
 # -- JSON (de)serialization ---------------------------------------------------
 
 
-def _atom_from_json(obj) -> Atom:
-    return Atom(obj["base"], obj["owner"])
-
-
-def _resolve_atom_name(name: str, atoms_by_name: dict) -> Atom:
-    try:
-        return atoms_by_name[name]
-    except KeyError:
-        raise UnknownNameError(f"unknown atom {name!r} in model file") from None
-
-
 def model_from_json(obj, agents, atoms_by_name) -> EpistemicModel:
     worlds = [w["id"] for w in obj["worlds"]]
     valuation = {
-        w["id"]: {_resolve_atom_name(s, atoms_by_name) for s in w.get("val", [])}
+        w["id"]: {atom_named(atoms_by_name, s) for s in w.get("val", [])}
         for w in obj["worlds"]
     }
-    relations = {a: [list(blk) for blk in blocks]
-                 for a, blocks in obj["relations"].items()}
-    return EpistemicModel(worlds, relations, valuation, agents=agents)
+    return EpistemicModel(worlds, obj["relations"], valuation, agents=agents)
 
 
 def _named_relations(model, names: list) -> dict:
@@ -148,9 +139,7 @@ def model_to_json(model: EpistemicModel) -> dict:
 def action_model_from_json(obj, agents, workspace: Workspace, name=None) -> ActionModel:
     actions = [e["id"] for e in obj["actions"]]
     pre = {e["id"]: workspace.parse(e["pre"]) for e in obj["actions"]}
-    relations = {a: [list(blk) for blk in blocks]
-                 for a, blocks in obj["relations"].items()}
-    return ActionModel(actions, relations, pre, agents=agents, name=name)
+    return ActionModel(actions, obj["relations"], pre, agents=agents, name=name)
 
 
 def action_model_to_json(model: ActionModel) -> dict:
@@ -210,30 +199,66 @@ def load_workspace(path) -> Workspace:
         except RecursionError:
             raise EpiupdateError("workspace: nested too deeply") from None
     _check_shape(doc, _DOCUMENT, "")
-    agents = _sorted_agents(doc["agents"])
-    atoms = [_atom_from_json(o) for o in doc.get("atoms", [])]
-    atoms_by_name = {str(p): p for p in atoms}
-
-    models = {
-        name: model_from_json(obj, agents, atoms_by_name)
-        for name, obj in doc.get("models", {}).items()
-    }
-    patterns = {
-        name: CommPattern([parse_graph_literal(lit, agents) for lit in literals],
-                          name=name)
-        for name, literals in doc.get("patterns", {}).items()
-    }
-    ws = Workspace(agents, atoms, models=models, patterns=patterns,
-                   formulas=doc.get("formulas", {}))
-    for name, obj in doc.get("action_models", {}).items():
-        ws.action_models[name] = action_model_from_json(obj, agents, ws, name=name)
-    ws._check_names()
+    # The name table first: agents, atoms and every table's names.  Its
+    # tables hold the document's entries until each is resolved below.
+    ws = Workspace(doc["agents"], [Atom(o["base"], o["owner"]) for o in doc.get("atoms", [])],
+                   models=doc.get("models"), patterns=doc.get("patterns"),
+                   action_models=doc.get("action_models"), formulas=doc.get("formulas"))
+    ws.models = {name: model_from_json(obj, ws.agents, ws.atoms)
+                 for name, obj in ws.models.items()}
+    ws.patterns = {name: CommPattern([parse_graph_literal(lit, ws.agents) for lit in literals],
+                                     name=name)
+                   for name, literals in ws.patterns.items()}
+    # a precondition may name the action models before its own
+    objs, ws.action_models = ws.action_models, {}
+    for name, obj in objs.items():
+        ws.action_models[name] = action_model_from_json(obj, ws.agents, ws, name=name)
     for text in ws.formulas.values():
         ws.parse(text)
     return ws
 
 
 # -- model reference expressions ----------------------------------------------
+
+
+def parse_model_expr(ws: Workspace, text: str) -> tuple:
+    """The base model and the steps of a model expression, with its syntax
+    checked and every name resolved, and nothing built.  A step is
+    ``("odot", pattern)``, ``("otimes", action model)`` or, for ``otimes
+    U(NAME)``, ``("U", pattern)``, whose induced model
+    :func:`build_model_expr` builds when it takes the step."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise UnknownNameError("empty model expression")
+    base, rest, steps = ws.lookup("model", tokens[0]), tokens[1:], []
+    while rest:
+        op, *rest = rest
+        if op not in ("odot", "otimes"):
+            raise UnknownNameError(f"expected 'odot' or 'otimes', found {op!r}")
+        if not rest:
+            raise UnknownNameError(f"missing operand after {op!r}")
+        if rest[:2] == ["U", "("]:
+            if rest[3:4] != [")"]:
+                raise UnknownNameError("malformed induced-model reference")
+            pattern = ws.lookup("pattern", rest[2])
+            if op == "odot":
+                raise UnknownNameError(
+                    f"'odot' takes a pattern, but U({rest[2]}) is an action model")
+            steps.append(("U", pattern))
+            rest = rest[4:]
+        else:
+            name, *rest = rest
+            steps.append((op, ws.lookup("pattern" if op == "odot" else "action model", name)))
+    return base, steps
+
+
+def build_model_expr(ws: Workspace, model: EpistemicModel, steps) -> EpistemicModel:
+    """``model`` updated by each step of :func:`parse_model_expr` in turn."""
+    for op, operand in steps:
+        if op == "U":
+            operand = induced_action_model(operand, ws.atom_set)
+        model = model.step(operand)
+    return model
 
 
 def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
@@ -243,41 +268,4 @@ def resolve_model_expr(ws: Workspace, text: str) -> EpistemicModel:
     model, and ``otimes U(NAME)`` the action model induced by pattern
     NAME over the workspace atoms.
     """
-    from .actions import induced_action_model
-
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
-        raise UnknownNameError("empty model expression")
-
-    def take_operand(op, i):
-        if i == len(tokens):
-            raise UnknownNameError(f"missing operand after {tokens[-1]!r}")
-        if tokens[i] == "U" and i + 1 < len(tokens) and tokens[i + 1] == "(":
-            if i + 3 >= len(tokens) or tokens[i + 3] != ")":
-                raise UnknownNameError("malformed induced-model reference")
-            pattern = ws.lookup("pattern", tokens[i + 2])
-            if op == "odot":
-                raise UnknownNameError(
-                    f"'odot' takes a pattern, but U({tokens[i + 2]}) is an action model")
-            return induced_action_model(pattern, ws.atom_set), i + 4
-        return tokens[i], i + 1
-
-    current = ws.lookup("model", tokens[0])
-    i = 1
-    while i < len(tokens):
-        op = tokens[i]
-        if op not in ("odot", "otimes"):
-            raise UnknownNameError(f"expected 'odot' or 'otimes', found {op!r}")
-        operand, i = take_operand(op, i + 1)
-        current = apply_step(ws, current, op, operand)
-    return current
-
-
-def apply_step(ws: Workspace, model: EpistemicModel, op: str, operand) -> EpistemicModel:
-    """One update step: ``odot`` a pattern name, ``otimes`` an action model
-    or the name of one, taken by the model's own ``step``."""
-    if op == "odot":
-        operand = ws.lookup("pattern", operand)
-    elif isinstance(operand, str):
-        operand = ws.lookup("action model", operand)
-    return model.step(operand)
+    return build_model_expr(ws, *parse_model_expr(ws, text))

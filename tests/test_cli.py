@@ -108,6 +108,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", "Sq", "99", "p_a")
         assert code == 2
 
+    def test_valid_takes_no_world(self, capsys):
+        # p_a holds at 11, so a world ignored would print a verdict
+        code, out, err = run(capsys, "check", "Sq", "11", "p_a", "--valid")
+        assert (code, out, err) == (2, "", "error: --valid takes no world\n")
+
     def test_valid_mode(self, capsys):
         code, out, _ = run(capsys, "check", "Sq", "--valid",
                            "(D{a,b} p_a <-> p_a)")
@@ -340,7 +345,9 @@ class TestOtherCommands:
 
 
 class TestUnknownNames:
-    """Every name route exits 2 with empty stdout and one exact stderr line."""
+    """Every name route exits 2 with empty stdout and one exact stderr line,
+    under a world cap of 10, below the 12 worlds of ``Sq odot IS``: every
+    name is checked before any product is built."""
 
     @pytest.mark.parametrize("argv, message", [
         (["update", "Nope"], "unknown model 'Nope'"),
@@ -359,15 +366,30 @@ class TestUnknownNames:
          "unknown action model 'Nope'"),
         (["induce", "Nope"], "unknown pattern 'Nope'"),
         (["induce", "IS", "--atoms", "p_a,zz_q"], "unknown atom 'zz_q'"),
-        (["check", "Sq", "11", "zz_q"], "unknown atom zz_q (at position 0)"),
-        (["check", "Sq", "11", "(p_a & ab_ab)"], "unknown atom ab_ab (at position 7)"),
+        (["check", "Sq", "11", "zz_q"], "unknown atom 'zz_q' (at position 0)"),
+        (["check", "Sq", "11", "(p_a & ab_ab)"], "unknown atom 'ab_ab' (at position 7)"),
         (["check", "Sq", "11", "(p_a & K z p_a)"], "unknown agent 'z' (at position 9)"),
         (["check", "Sq", "11", "D{a,z} p_a"], "unknown agent 'z' (at position 4)"),
         (["check", "Sq", "11", "[Nope] p_a"],
          "unknown pattern or action model 'Nope' (at position 1)"),
-        (["iunf", "[IS:Rab] zz_q"], "unknown atom zz_q (at position 9)"),
+        (["iunf", "[IS:Rab] zz_q"], "unknown atom 'zz_q' (at position 9)"),
+        # a name after the first step, and the --history rule, fail before
+        # that step's product is built
+        (["dot", "Sq odot IS odot Nope"], "unknown pattern 'Nope'"),
+        (["dot", "Sq odot IS otimes U(Nope)"], "unknown pattern 'Nope'"),
+        (["update", "Sq", "--history", "--with", "IS", "--with", "IS", "--with-action", "skip"],
+         "--history pipelines accept pattern steps only"),
+        (["check", "Sq", "99", "p_a"], "unknown world '99'"),
+        (["bisim", "Sq", "Sq", "--point1", "11", "--point2", "99"], "unknown world '99'"),
+        (["search", "--bases", "Sq:99", "--target", "pattern:Byz"], "unknown world '99'"),
+        # every argument's names, before the first product of any of them
+        (["check", "Sq odot IS", "11.U", "zz_q"], "unknown atom 'zz_q' (at position 0)"),
+        (["bisim", "Sq odot IS", "Sq odot Nope"], "unknown pattern 'Nope'"),
+        (["search", "--bases", "Sq odot IS:11.U", "--target", "pattern:Nope"],
+         "unknown pattern 'Nope'"),
     ])
-    def test_exits_two(self, capsys, argv, message):
+    def test_exits_two(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
@@ -389,6 +411,16 @@ class TestAcrossHashSeeds:
         ["update", "Sq", "--history", "--with", "Byz", "--rounds", "3"],
         ["minimize", "Sq"],
         ["bisim", "Sq", "Sq"],
+        ["iunf", "[IS:{a->b,b->a}] D{b} p_a"],
+        ["search", "--bases", "Sq:11", "--target", "announce:(p_a | p_b)"],
+        ["search", "--bases", "Sq:11", "--target", "action:skip"],
+        ["bisim", "M odot Byz", "M otimes U(Byz)", "--iso"],
+        ["bisim", "Sq", "Sq", "--point1", "11", "--point2", "11", "--witness"],
+        ["check", "Sq", "--valid", "(D{a,b} p_a <-> p_a)"],
+        ["induce", "Byz", "--atoms", "p_a"],
+        ["dot", "Sq odot IS odot Nope"],
+        ["dot", "Sq odot IS otimes U(Nope)"],
+        ["update", "Sq", "--history", "--with", "IS", "--with", "IS", "--with-action", "skip"],
     ]
 
     def test_outputs_agree_across_hash_seeds(self):
@@ -416,7 +448,8 @@ class TestAcrossHashSeeds:
         assert [proc.returncode for proc in procs] == [0, 0, 0]
         assert outs[0] == outs[1] == outs[2]
         assert [line.split()[0] for line in outs[0]] == ["0", "0", "0", "2", "1", "0", "0", "0",
-                                                     "0", "0", "0"]
+                                                     "0", "0", "0", "0", "1", "0", "0", "0",
+                                                     "0", "0", "2", "2", "2"]
 
 
 def _workspace(**models):
@@ -484,9 +517,23 @@ class TestWorkspaceContract:
          "duplicate workspace names: ['M']"),
         ([_workspace()], "workspace: expected an object"),
         ({**_workspace(), "formulas": {"goal": "(p_a & zz_q"}},
-         "unknown atom zz_q (at position 7)"),
+         "unknown atom 'zz_q' (at position 7)"),
         ({**_workspace(), "atoms": [{"base": "p", "owner": "a"}, {"base": "q", "owner": "z"}]},
          "atom 'q_z' is owned by unknown agent 'z'"),
+        # the name table is checked before any model is built
+        ({**_workspace(M=_model(worlds=[{"id": "w1", "val": ["p_a", "q_z"]}, {"id": "w2"}])),
+          "atoms": [{"base": "p", "owner": "a"}, {"base": "q", "owner": "z"}]},
+         "atom 'q_z' is owned by unknown agent 'z'"),
+        (_workspace(M=_model(worlds=[{"id": "w1", "val": ["zz_q"]}, {"id": "w2"}])),
+         "unknown atom 'zz_q'"),
+        ({**_workspace(), "atoms": [{"base": "p_x", "owner": "a"}]},
+         "atom base 'p_x' cannot be written in a formula"),
+        ({**_workspace(), "atoms": [{"base": "", "owner": "a"}]},
+         "atom base '' cannot be written in a formula"),
+        ({**_workspace(), "agents": ["a", "a b"]}, "agent 'a b' cannot be written in a formula"),
+        *[({**_workspace(), "agents": ["a", "b", word]},
+           f"agent {word!r} cannot be written in a formula")
+          for word in ("K", "D", "hK", "hD", "true", "false")],
     ])
     def test_exits_two(self, capsys, tmp_path, doc, message):
         # every command loads the workspace first, so each rejects it alike
