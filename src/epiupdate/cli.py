@@ -2,8 +2,11 @@
 
 Subcommands: update, check, bisim, induce, minimize, iunf, search, dot.
 Exit codes are a stable contract: 0 for a positive answer, 1 for a
-negative one, 2 for any error (bad references, syntax errors, empty
-products where a pointed result was required).
+negative one, 2 for any error (bad references, syntax errors, an action
+step that leaves no world, a product or printed formula past the cap).
+Every command builds its models through ``workspace.build_model_expr``;
+``update`` turns its ``--with`` and ``--with-action`` flags into the
+``odot`` and ``otimes`` steps of a model expression.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from .search import (
 )
 from .semantics import satisfies, valid_on
 from .workspace import (
-    Workspace, action_model_to_json, build_model_expr, default_workspace, load_workspace,
-    model_to_json, parse_model_expr, resolve_model_expr,
+    OPERAND_KINDS, Workspace, action_model_to_json, build_model_expr, default_workspace,
+    load_workspace, model_to_json, parse_model_expr, resolve_model_expr,
 )
 
 
@@ -40,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("model")
     # both flags append to one list, so the steps keep their order
     up.add_argument("--with", dest="steps", metavar="PATTERN", action="append",
-                    type=lambda name: ("pattern", name), help="pattern update step (repeatable)")
+                    type=lambda name: ("odot", name), help="pattern update step (repeatable)")
     up.add_argument("--with-action", dest="steps", metavar="ACTION", action="append",
-                    type=lambda name: ("action model", name),
+                    type=lambda name: ("otimes", name),
                     help="action model update step (repeatable)")
     up.add_argument("--history", action="store_true",
                     help="record history variables round by round")
@@ -110,18 +113,14 @@ def cmd_update(ws: Workspace, args) -> int:
     if args.rounds < 1:
         raise EpiupdateError("--rounds must be at least 1")
     current = ws.lookup("model", args.model)
-    named = args.steps or []
-    operands = []
-    for kind, name in named:
-        if args.history and kind != "pattern":
+    steps = []
+    for op, name in args.steps or []:
+        if args.history and op != "odot":
             raise EpiupdateError("--history pipelines accept pattern steps only")
-        operands.append(ws.lookup(kind, name))
+        steps.append((op, ws.lookup(OPERAND_KINDS[op], name)))
     if args.history:
         current = history_start(current)
-    for (kind, name), operand in zip(named * args.rounds, operands * args.rounds):
-        current = current.step(operand)
-        if kind == "action model" and current.is_empty:
-            raise EpiupdateError(f"update with {name!r} produced an empty model")
+    current = build_model_expr(ws, current, steps * args.rounds)
     _emit(json.dumps(model_to_json(current), indent=2) + "\n", args.output)
     return 0
 

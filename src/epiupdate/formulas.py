@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .comm import CommGraph, CommPattern
-from .models import _component_name, atom_key
+from .models import _component_name, atom_key, ensure_capacity
 
 
 class Formula:
@@ -229,23 +229,53 @@ def formula_atoms(f: Formula) -> frozenset:
 # -- printing ---------------------------------------------------------------
 
 def format_formula(f: Formula) -> str:
-    """Grammar-conformant rendering; parseable output round-trips structurally."""
+    """Grammar-conformant rendering; parseable output round-trips structurally.
+
+    Sugar such as ``iff`` shares its operands, which print once per use, so
+    each link of a ``<->`` chain doubles its printed length.  The length is
+    counted first, each distinct node once, and held to the world cap."""
+    ensure_capacity(_printed_length(f, {}), "formula would print {} characters")
+    return _format(f)
+
+
+def _printed_length(f: Formula, memo: dict) -> int:
+    key = id(f)  # keyed by identity, as in _depth
+    if key in memo:
+        return memo[key]
+    if isinstance(f, Var):
+        n = len(str(f.atom))
+    elif isinstance(f, Top):
+        n = len("true")
+    elif isinstance(f, Neg):
+        n = 1 + _printed_length(f.sub, memo)
+    elif isinstance(f, Conj):
+        n = len("( & )") + _printed_length(f.left, memo) + _printed_length(f.right, memo)
+    else:
+        n = len(_head(f)) + _printed_length(f.sub, memo)
+    memo[key] = n
+    return n
+
+
+def _format(f: Formula) -> str:
     if isinstance(f, Var):
         return str(f.atom)
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Neg):
-        return "~" + format_formula(f.sub)
+        return "~" + _format(f.sub)
     if isinstance(f, Conj):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
+        return f"({_format(f.left)} & {_format(f.right)})"
+    return _head(f) + _format(f.sub)
+
+
+def _head(f: Formula) -> str:
+    """What a modality prints before its body."""
     if isinstance(f, DKnow):
-        return "D{" + ",".join(sorted(f.group)) + "} " + format_formula(f.sub)
+        return "D{" + ",".join(sorted(f.group)) + "} "
     if isinstance(f, PatternBox):
-        pname = f.pattern.name or _pattern_literal(f.pattern)
-        return f"[{pname}:{f.graph.name}] " + format_formula(f.sub)
+        return f"[{f.pattern.name or _pattern_literal(f.pattern)}:{f.graph.name}] "
     if isinstance(f, ActionBox):
-        mname = f.model.name or "action-model"
-        return f"[{mname}.{_component_name(f.action)}] " + format_formula(f.sub)
+        return f"[{f.model.name or 'action-model'}.{_component_name(f.action)}] "
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -62,6 +62,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# the grammar's words, which a workspace refuses as agent names
 RESERVED = {"D", "K", "hK", "hD", "true", "false"}
 
 # Deepest nesting of subformulas the parser accepts.  One level costs the
@@ -167,8 +168,6 @@ class _Parser:
             if value in ("K", "hK"):
                 self.next()
                 _, agent, apos = self.next("IDENT")
-                if agent in RESERVED:
-                    raise FormulaSyntaxError(f"{agent!r} is reserved", apos)
                 self.check_agent(agent, apos)
                 sub = self.formula()
                 return knows(agent, sub) if value == "K" else dual_knows(agent, sub)

@@ -25,7 +25,9 @@ atom bases are identifiers a formula can write, no agent is a reserved
 word such as ``K``, and every atom's owner is an agent.
 :func:`load_workspace` makes this table before it builds any model, and
 :func:`parse_model_expr` resolves every name of a model expression before
-:func:`build_model_expr` builds anything.
+:func:`build_model_expr` builds anything.  That loop takes the steps of
+every command, ``update``'s included, and refuses an action step that
+leaves no world.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ from .parser import IDENT, RESERVED, parse_formula
 
 
 _TABLES = {"model": "models", "pattern": "patterns", "action model": "action_models"}
+# the kind of name each update operator takes, as a model expression or `update` step
+OPERAND_KINDS = {"odot": "pattern", "otimes": "action model"}
 
 
 class Workspace:
@@ -248,7 +252,7 @@ def parse_model_expr(ws: Workspace, text: str) -> tuple:
             rest = rest[4:]
         else:
             name, *rest = rest
-            steps.append((op, ws.lookup("pattern" if op == "odot" else "action model", name)))
+            steps.append((op, ws.lookup(OPERAND_KINDS[op], name)))
     return base, steps
 
 
@@ -258,6 +262,8 @@ def build_model_expr(ws: Workspace, model: EpistemicModel, steps) -> EpistemicMo
         if op == "U":
             operand = induced_action_model(operand, ws.atom_set)
         model = model.step(operand)
+        if op != "odot" and model.is_empty:  # an action update is partial
+            raise EpiupdateError(f"update with {operand.name!r} produced an empty model")
     return model
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from epiupdate.cli import main
+from epiupdate.parser import MAX_NESTING
 
 WS_WITH_ABSURD = {
     "agents": ["a", "b"],
@@ -80,6 +81,29 @@ class TestUpdate:
                            "-o", str(target))
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())["worlds"]) == 12
+
+
+class TestEmptyActionStep:
+    """An action step that leaves no world is one error, with one text, in
+    every command that builds a model, not an empty model that answers
+    every ``--valid`` query vacuously."""
+
+    @pytest.mark.parametrize("argv", [
+        ["update", "M", "--with-action", "absurd"],
+        ["check", "M otimes absurd", "--valid", "p_a"],
+        ["check", "M otimes absurd", "--valid", "~p_a"],
+        ["check", "M otimes absurd", "w1", "p_a"],
+        ["dot", "M otimes absurd"],
+        ["minimize", "M otimes absurd"],
+        ["bisim", "M otimes absurd", "M"],
+        ["search", "--bases", "M otimes absurd:w1", "--target", "action:absurd"],
+    ])
+    def test_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(WS_WITH_ABSURD))
+        code, out, err = run(capsys, "--workspace", str(path), *argv)
+        assert (code, out, err) == (
+            2, "", "error: update with 'absurd' produced an empty model\n")
 
 
 class TestCheck:
@@ -387,6 +411,8 @@ class TestUnknownNames:
         (["bisim", "Sq odot IS", "Sq odot Nope"], "unknown pattern 'Nope'"),
         (["search", "--bases", "Sq odot IS:11.U", "--target", "pattern:Nope"],
          "unknown pattern 'Nope'"),
+        # no agent can be named K, so the grammar's word is an unknown agent
+        (["check", "Sq", "11", "K K p_a"], "unknown agent 'K' (at position 2)"),
     ])
     def test_exits_two(self, capsys, monkeypatch, argv, message):
         monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
@@ -399,37 +425,54 @@ class TestAcrossHashSeeds:
     """Output does not follow hash order: history variables hash their
     owner's name, so sets of them iterate differently under each seed."""
 
+    # (exit code, argv); "WS_WITH_ABSURD" stands for that workspace's file
     COMMANDS = [
-        ["update", "Sq", "--history", "--with", "IS", "--rounds", "3"],
-        ["update", "Sq", "--history", "--with", "IS", "--rounds", "2"],
-        ["induce", "Byz", "--round", "2", "--atoms", "p_a"],
-        ["induce", "IS", "--round", "2"],
-        ["check", "Sq odot IS", "11.Rab", "[IS:Rab] ab_b"],
-        ["update", "Sq", "--with", "IS", "--with-action", "skip", "--with", "IS"],
-        ["dot", "Sq odot IS odot IS"],
-        ["minimize", "Sq odot IS odot IS"],
-        ["update", "Sq", "--history", "--with", "Byz", "--rounds", "3"],
-        ["minimize", "Sq"],
-        ["bisim", "Sq", "Sq"],
-        ["iunf", "[IS:{a->b,b->a}] D{b} p_a"],
-        ["search", "--bases", "Sq:11", "--target", "announce:(p_a | p_b)"],
-        ["search", "--bases", "Sq:11", "--target", "action:skip"],
-        ["bisim", "M odot Byz", "M otimes U(Byz)", "--iso"],
-        ["bisim", "Sq", "Sq", "--point1", "11", "--point2", "11", "--witness"],
-        ["check", "Sq", "--valid", "(D{a,b} p_a <-> p_a)"],
-        ["induce", "Byz", "--atoms", "p_a"],
-        ["dot", "Sq odot IS odot Nope"],
-        ["dot", "Sq odot IS otimes U(Nope)"],
-        ["update", "Sq", "--history", "--with", "IS", "--with", "IS", "--with-action", "skip"],
+        (0, ["update", "Sq", "--history", "--with", "IS", "--rounds", "3"]),
+        (0, ["update", "Sq", "--history", "--with", "IS", "--rounds", "2"]),
+        (0, ["induce", "Byz", "--round", "2", "--atoms", "p_a"]),
+        (2, ["induce", "IS", "--round", "2"]),
+        (1, ["check", "Sq odot IS", "11.Rab", "[IS:Rab] ab_b"]),
+        (0, ["update", "Sq", "--with", "IS", "--with-action", "skip", "--with", "IS"]),
+        (0, ["dot", "Sq odot IS odot IS"]),
+        (0, ["minimize", "Sq odot IS odot IS"]),
+        (0, ["update", "Sq", "--history", "--with", "Byz", "--rounds", "3"]),
+        (0, ["minimize", "Sq"]),
+        (0, ["bisim", "Sq", "Sq"]),
+        (0, ["iunf", "[IS:{a->b,b->a}] D{b} p_a"]),
+        (1, ["search", "--bases", "Sq:11", "--target", "announce:(p_a | p_b)"]),
+        (0, ["search", "--bases", "Sq:11", "--target", "action:skip"]),
+        (0, ["bisim", "M odot Byz", "M otimes U(Byz)", "--iso"]),
+        (0, ["bisim", "Sq", "Sq", "--point1", "11", "--point2", "11", "--witness"]),
+        (0, ["check", "Sq", "--valid", "(D{a,b} p_a <-> p_a)"]),
+        (0, ["induce", "Byz", "--atoms", "p_a"]),
+        (2, ["dot", "Sq odot IS odot Nope"]),
+        (2, ["dot", "Sq odot IS otimes U(Nope)"]),
+        (2, ["update", "Sq", "--history", "--with", "IS", "--with", "IS", "--with-action", "skip"]),
+        (2, ["--workspace", "WS_WITH_ABSURD", "check", "M otimes absurd", "--valid", "p_a"]),
+        (2, ["--workspace", "WS_WITH_ABSURD", "dot", "M otimes absurd"]),
+        (2, ["check", "Sq", "11", "K K p_a"]),
+        # the README's command block
+        (0, ["update", "Sq", "--with", "IS", "--with", "IS"]),
+        (0, ["update", "M", "--with-action", "skip"]),
+        (1, ["check", "Sq odot IS odot IS", "11.U.Rba", "hK a hK b ~p_a"]),
+        (1, ["bisim", "Sq odot IS odot IS", "Sq odot IS otimes U(IS)"]),
+        (1, ["bisim", "Sq odot IS", "Sq odot IS", "--point1", "11.Rba", "--point2", "11.U",
+             "--bound", "1"]),
+        (0, ["search", "--bases", "Sq:11", "--target", "pattern:Byz"]),
+        (0, ["induce", "IS", "--round", "2", "--atoms", "p_a"]),
     ]
 
-    def test_outputs_agree_across_hash_seeds(self):
+    def test_outputs_agree_across_hash_seeds(self, tmp_path):
         import os
         import subprocess
         import sys
 
         import epiupdate
         src = os.path.dirname(os.path.dirname(os.path.abspath(epiupdate.__file__)))
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(WS_WITH_ABSURD))
+        argvs = [[str(path) if arg == "WS_WITH_ABSURD" else arg for arg in argv]
+                 for _, argv in self.COMMANDS]
         script = (
             "import contextlib, hashlib, io, json, sys\n"
             "from epiupdate.cli import main\n"
@@ -440,16 +483,14 @@ class TestAcrossHashSeeds:
             "    text = repr((code, out.getvalue(), err.getvalue()))\n"
             "    print(code, hashlib.sha256(text.encode()).hexdigest())\n")
         procs = [subprocess.Popen(
-                     [sys.executable, "-c", script, json.dumps(self.COMMANDS)],
+                     [sys.executable, "-c", script, json.dumps(argvs)],
                      stdout=subprocess.PIPE, text=True,
                      env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
                  for seed in ("0", "1", "2")]
         outs = [proc.communicate()[0].split("\n")[:-1] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0, 0]
         assert outs[0] == outs[1] == outs[2]
-        assert [line.split()[0] for line in outs[0]] == ["0", "0", "0", "2", "1", "0", "0", "0",
-                                                     "0", "0", "0", "0", "1", "0", "0", "0",
-                                                     "0", "0", "2", "2", "2"]
+        assert [int(line.split()[0]) for line in outs[0]] == [code for code, _ in self.COMMANDS]
 
 
 def _workspace(**models):
@@ -558,3 +599,54 @@ class TestWorkspaceContract:
         path.write_text(json.dumps(_workspace(M=_model())))
         code, out, _ = run(capsys, "--workspace", str(path), "dot", "M")
         assert code == 0 and out.startswith("graph model {")
+
+
+def _iff_chain(links):
+    text = "p_a"
+    for _ in range(links):
+        text = f"({text} <-> p_b)"
+    return text
+
+
+# (formula, the one error line it gives in every command, or None)
+PATHOLOGICAL = [
+    pytest.param("~" * MAX_NESTING + "p_a", None, id="nesting-limit"),
+    pytest.param("~" * (MAX_NESTING + 1) + "p_a",
+                 f"formula nested deeper than {MAX_NESTING} levels "
+                 f"(at position {MAX_NESTING + 1})", id="past-nesting-limit"),
+    pytest.param(_iff_chain(40), None, id="iff-chain-40"),
+    pytest.param("D{z} p_a", "unknown agent 'z' (at position 2)", id="D{z}"),
+    pytest.param("D{} p_a", "expected IDENT, found '}' (at position 2)", id="D{}"),
+    pytest.param("K p_a", "expected IDENT, found 'p_a' (at position 2)", id="K"),
+    pytest.param("K K p_a", "unknown agent 'K' (at position 2)", id="K-K"),
+]
+
+
+class TestPathologicalFormulas:
+    """Every command that reads a formula prints a verdict with empty
+    stderr, or exits 2 with empty stdout and one ``error:`` line."""
+
+    @pytest.mark.parametrize("formula, message", PATHOLOGICAL)
+    def test_verdict_or_one_error(self, capsys, tmp_path, formula, message):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            **_workspace(M=_model()), "formulas": {"goal": formula},
+            "atoms": [{"base": "p", "owner": "a"}, {"base": "p", "owner": "b"}]}))
+        for argv in (["check", "Sq", "11", formula], ["check", "Sq", "--valid", formula],
+                     ["iunf", formula],
+                     ["search", "--bases", "Sq:11", "--target", f"announce:{formula}"],
+                     ["--workspace", str(path), "check", "M", "w1", "p_a"]):
+            code, out, err = run(capsys, *argv)
+            if message is not None:  # one text for the fault, whatever the command
+                assert (code, out, err) == (2, "", f"error: {message}\n"), argv[0]
+            elif code == 2:
+                assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv[0]
+            else:
+                assert code in (0, 1) and out and err == "", argv[0]
+
+    def test_printing_past_the_cap_exits_two(self, capsys):
+        # the chain would print about 2^45 characters: refused before any is built
+        code, out, err = run(capsys, "iunf", _iff_chain(40))
+        assert (code, out) == (2, "")
+        assert err == ("error: formula would print 35184372088803 characters, exceeding the "
+                       "cap of 100000 (raise EPIUPDATE_MAX_WORLDS to override)\n")

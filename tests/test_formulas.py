@@ -155,3 +155,21 @@ class TestPrinting:
             ActionBox(skip, "skip", a): "[skip.skip] p_a",
         }
         assert {f: str(f) for f in nodes} == nodes
+
+    def test_printed_length_is_counted_before_printing(self, monkeypatch):
+        # a chain of n links prints about 2^(n+5) characters; the count walks
+        # each distinct node once, and past the cap nothing is printed
+        from epiupdate import ModelCapError, format_formula
+        from epiupdate import formulas
+        f = Var(P_A)
+        for links in range(1, 41):
+            f = iff(f, Var(P_B))
+            if links == 8:
+                assert len(format_formula(f)) == 8163
+        monkeypatch.setattr(formulas, "_format", None)
+        with pytest.raises(ModelCapError) as exc:
+            format_formula(f)
+        assert str(exc.value).startswith("formula would print 35184372088803 characters")
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
+        with pytest.raises(ModelCapError, match="formula would print 12 characters"):
+            format_formula(Conj(Var(P_A), Neg(Var(P_B))))

@@ -109,6 +109,15 @@ class TestModelExpressions:
             with pytest.raises(UnknownNameError):
                 resolve_model_expr(ws, text)
 
+    def test_action_step_that_leaves_no_world(self):
+        # the library update is partial; the expression refuses its empty result
+        from epiupdate import EpiupdateError, action_update, announce
+        ws = default_workspace()
+        ws.action_models["absurd"] = announce(ws.parse("(p_a & ~p_a)"), ws.agents, name="absurd")
+        assert action_update(ws.models["Sq"], ws.action_models["absurd"]).is_empty
+        with pytest.raises(EpiupdateError, match="^update with 'absurd' produced an empty model$"):
+            resolve_model_expr(ws, "Sq odot IS otimes absurd odot IS")
+
 
 class TestDefaultWorkspace:
     def test_contents(self):
