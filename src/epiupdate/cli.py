@@ -283,23 +283,11 @@ def cmd_dot(ws: Workspace, args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "update": cmd_update,
-    "check": cmd_check,
-    "bisim": cmd_bisim,
-    "induce": cmd_induce,
-    "minimize": cmd_minimize,
-    "iunf": cmd_iunf,
-    "search": cmd_search,
-    "dot": cmd_dot,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ws = load_workspace(args.workspace) if args.workspace else default_workspace()
-        return _COMMANDS[args.command](ws, args)
+        return globals()[f"cmd_{args.command}"](ws, args)  # NAME runs cmd_NAME
     except (EpiupdateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

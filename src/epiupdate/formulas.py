@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .comm import CommGraph, CommPattern
-from .models import _component_name, atom_key, ensure_capacity
+from .models import DEFAULT_WORLD_CAP, _component_name, atom_key, ensure_capacity
 
 
 class Formula:
@@ -231,10 +231,11 @@ def formula_atoms(f: Formula) -> frozenset:
 def format_formula(f: Formula) -> str:
     """Grammar-conformant rendering; parseable output round-trips structurally.
 
-    Sugar such as ``iff`` shares its operands, which print once per use, so
-    each link of a ``<->`` chain doubles its printed length.  The length is
-    counted first, each distinct node once, and held to the world cap."""
-    ensure_capacity(_printed_length(f, {}), "formula would print {} characters")
+    Sugar such as ``iff`` prints its shared operands once per use, so each
+    link of a ``<->`` chain doubles the length.  That is counted first, each
+    distinct node once, and held to the larger of the world cap and its default."""
+    if (length := _printed_length(f, {})) > DEFAULT_WORLD_CAP:
+        ensure_capacity(length, "formula would print {} characters")
     return _format(f)
 
 

@@ -14,13 +14,20 @@ down exactly the worlds an agent cannot distinguish.
 
 An agent's view after sigma.R is its sender set in R with those senders'
 views after sigma (Fagin, Halpern, Moses & Vardi, *Reasoning About
-Knowledge*, 1995), read off the history variables of the round before,
-once per class of the senders' group.  This is the one view stepper over
-models: universes of history variables are read off history rounds,
-which the world cap bounds; ``view_of`` is its abstract step.  Views are
-hash-consed (Filliatre & Conchon, 2006) through a weak table that keeps
-none alive, so a history round and an induced chain alive together share
-their history variables, and valuations compare them by identity.
+Knowledge*, 1995), built once per class of the senders' group.  History
+and induced rounds keep each agent's latest view per world, the model's
+``columns``, for the next round to read.  Graphs are reflexive, so a
+latest view holds the agent's previous one, and so on down to the leaf
+with its initial own atoms, and is itself an own atom: two worlds give an
+agent equal latest views iff they agree on its own atoms.  So
+``models.own_labels`` groups by the columns, one hash per world, and
+``is_interpreted_system`` compares that with the labels as before.  This
+is the one view stepper over models: universes of history variables are
+read off history rounds, which the world cap bounds; ``view_of`` is its
+abstract step.  Views are hash-consed (Filliatre & Conchon, 2006) through
+a weak table that keeps none alive, so a history round and an induced
+chain alive together share their history variables, and valuations
+compare them by identity.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
@@ -37,7 +44,7 @@ whether the agent's actual view has that shape, regardless of content.
 from __future__ import annotations
 
 import weakref
-from itertools import product
+from itertools import chain, product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
@@ -174,14 +181,15 @@ class HistoryModel(EpistemicModel):
     round.  It differs from a plain model only in its update step: a
     pattern steps to the next history round and an action model is
     rejected, so ``satisfies`` on a history model is the history-based
-    semantics.  Like any model it keeps no stepped models.
+    semantics.  Like any model it keeps no stepped models; from round one
+    on it carries its view columns (see the module docstring).
     """
 
     def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):
         self._assign(model.worlds, model.labels, model.vals, model.agents, base, rounds)
 
-    def _assign(self, worlds, labels, vals, agents, base, rounds):
-        super()._assign(worlds, labels, vals, agents)
+    def _assign(self, worlds, labels, vals, agents, base, rounds, columns=None):
+        super()._assign(worlds, labels, vals, agents, columns)
         self.base = base
         self.rounds = tuple(rounds)
 
@@ -217,49 +225,49 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h, pattern)
-    vals = _round_valuation(plain, h, h.round, pattern.graphs)
+    vals, columns = _round_valuation(plain, h, h.round, pattern.graphs)
     return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents,
-                                 h.base, h.rounds + (pattern,))
+                                 h.base, h.rounds + (pattern,), columns)
 
 
-def _latest_views(model: EpistemicModel, i: int, depth: int) -> tuple:
-    """Every agent's view at the model's world ``i`` (a position) after
-    ``depth`` rounds, in agent order.  Reading them by depth is exact only
-    if the start holds no history variables, so round zero, which builds
-    the leaves, rejects any."""
-    val = model.vals[i]
+def _latest_views(model: EpistemicModel, depth: int) -> dict:
+    """Each agent's view after ``depth`` rounds at each world, in world
+    order: the model's columns, or else read off its valuations by depth.
+    That is exact only if the start holds no history variables, so round
+    zero, which builds the leaves, rejects any."""
     if depth:
-        latest = {p.owner: p for p in val if isinstance(p, View) and p.depth == depth}
-        return tuple(latest[a] for a in model.agents)
-    held = [p for p in val if isinstance(p, View)]
-    if held:
-        raise EpiupdateError(
-            "a history starts from a model without history variables; world "
-            f"{world_name(model.worlds[i])} holds {min(held, key=atom_key)}")
-    return tuple(View(a, (), frozenset(p for p in val if p.owner == a))
-                 for a in model.agents)
+        return model.columns or {a: tuple(next(p for p in val if isinstance(p, View)
+                                               and p.owner == a and p.depth == depth)
+                                          for val in model.vals) for a in model.agents}
+    for w, val in zip(model.worlds, model.vals):
+        held = [p for p in val if isinstance(p, View)]
+        if held:
+            raise EpiupdateError(
+                "a history starts from a model without history variables; world "
+                f"{world_name(w)} holds {min(held, key=atom_key)}")
+    return {a: tuple(View(a, (), frozenset(p for p in val if p.owner == a)) for val in model.vals)
+            for a in model.agents}
 
 
 def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
                      rounds_so_far: int, graphs) -> tuple:
     """The valuations of ``plain`` with the new round's history variables
-    true.  ``plain`` lists a world ``(v, step)`` per world v of ``prev``,
-    the model after ``rounds_so_far`` rounds, and graph, in that order, as
-    the products do.  A sender's view is its own atom, so constant on its
-    blocks: an agent's new view is built once per class of its senders."""
-    agents = plain.agents
-    latest = [_latest_views(prev, i, rounds_so_far) for i in range(len(prev.worlds))]
-    columns = {}  # (agent, senders) -> (each world's class, each class's view)
-    for a, senders in dict.fromkeys((a, g.heard[a]) for g in graphs for a in agents):
-        pos = [agents.index(b) for b in sorted(senders)]
-        classes, col = group_labels(prev, senders), []
-        for views, c in zip(latest, classes):
-            if c == len(col):  # classes are numbered by their first world
-                col.append(View(a, [views[k] for k in pos]))
-        columns[a, senders] = classes, col
-    steps = [[columns[a, g.heard[a]] for a in agents] for g in graphs]
-    return tuple(val | frozenset(col[classes[v]] for classes, col in step)
-                 for val, (v, step) in zip(plain.vals, product(range(len(prev.worlds)), steps)))
+    true, and its columns.  ``plain`` lists a world ``(v, step)`` per world
+    v of ``prev`` (after ``rounds_so_far`` rounds) and graph, in that order,
+    as the products do.  A sender's view is its own atom, so constant on its
+    blocks: an agent's view is built once per class of its senders."""
+    latest, columns = _latest_views(prev, rounds_so_far), {}
+    for a in plain.agents:
+        heard = {}  # senders -> the agent's new view at each world of prev
+        for senders in dict.fromkeys(g.heard[a] for g in graphs):
+            classes, col = group_labels(prev, senders), []
+            for i, c in enumerate(classes):
+                if c == len(col):  # classes are numbered by their first world
+                    col.append(View(a, [latest[b][i] for b in sorted(senders)]))
+            heard[senders] = [col[c] for c in classes]
+        columns[a] = tuple(chain.from_iterable(zip(*(heard[g.heard[a]] for g in graphs))))
+    vals = tuple(val | frozenset(row) for val, row in zip(plain.vals, zip(*columns.values())))
+    return vals, columns
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -275,12 +283,11 @@ def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> Histor
 def _round_layers(rounds, base: EpistemicModel):
     """Per round of a pattern sequence, the history variables of its history
     round on ``base``; a base holding any fails, even with no rounds."""
-    for i in range(len(base.worlds)):
-        _latest_views(base, i, 0)
+    _latest_views(base, 0)
     h = history_start(base)
     for pattern in rounds:
         h = history_update(h, pattern)
-        yield frozenset(p for p in realized_history_atoms(h) if p.depth == h.round)
+        yield frozenset().union(*h.columns.values())
 
 
 def round_variables(rounds, base: EpistemicModel) -> frozenset:
@@ -317,8 +324,8 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     from .actions import apply_induced
 
     plain = apply_induced(model, pattern, atoms)
-    vals = _round_valuation(plain, model, rounds_so_far, pattern.graphs)
-    return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents)
+    vals, columns = _round_valuation(plain, model, rounds_so_far, pattern.graphs)
+    return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents, columns)
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:
@@ -328,12 +335,10 @@ def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:
     variables realized up to round k-1, so later rounds can convey what
     was learned in earlier ones.
     """
-    rounds = tuple(rounds)
-    base_universe = frozenset(base_atoms)
-    current = model
+    current, atoms = model, frozenset(base_atoms)
     for k, pattern in enumerate(rounds):
-        atoms = base_universe | realized_history_atoms(current)
         current = induced_round_product(current, pattern, atoms, model, k)
+        atoms |= frozenset().union(*current.columns.values())
     return current
 
 

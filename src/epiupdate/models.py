@@ -248,13 +248,14 @@ class EpistemicModel(_Partitioned):
                 f"{a}-owned atoms"
             )
 
-    def _assign(self, worlds: tuple, labels: dict, vals: tuple, agents: tuple):
+    def _assign(self, worlds: tuple, labels: dict, vals: tuple, agents: tuple, columns=None):
         """The trusted path: ``labels`` per agent in the form of
         :func:`labels_by`, ``vals`` a frozenset per world in world order,
-        ``agents`` sorted."""
+        ``agents`` sorted, ``columns`` set by history and induced rounds."""
         self._assign_partitions(worlds, labels, agents)
         self.worlds = worlds
         self.vals = vals
+        self.columns = columns
 
         # group meets, computed once; values are deterministic, so a racy
         # double computation is harmless
@@ -345,14 +346,16 @@ def _component_name(x) -> str:
     return str(x)
 
 
-def own_labels(vals, agent) -> list:
-    """Each world's block of the grouping by the agent's own atoms, given
-    the valuations in world order, in the form of :func:`labels_by`; one
-    set intersection per distinct valuation finds its own atoms."""
-    distinct = set(vals)
+def own_labels(model: EpistemicModel, agent) -> list:
+    """Each world's block of the grouping by the agent's own atoms, in the
+    form of :func:`labels_by`: by its column of latest views if the model has
+    columns (see ``history``), else by one intersection per distinct valuation."""
+    if model.columns is not None:
+        return labels_by(model.columns[agent])
+    distinct = set(model.vals)
     own = frozenset(p for p in frozenset().union(*distinct) if p.owner == agent)
     mine = {val: own & val for val in distinct}
-    return labels_by(map(mine.__getitem__, vals))
+    return labels_by(map(mine.__getitem__, model.vals))
 
 
 def _locality_violation(model: EpistemicModel):
@@ -362,7 +365,7 @@ def _locality_violation(model: EpistemicModel):
     first later one that disagrees with ``w``, so the answer does not
     depend on the hash seed."""
     for a in model.agents:
-        own = own_labels(model.vals, a)
+        own = own_labels(model, a)
         first: dict[int, int] = {}  # block -> the position of its first world
         bad: dict[int, int] = {}    # block -> the first position unlike it
         for i, b in enumerate(model.labels[a]):
@@ -384,9 +387,11 @@ def is_interpreted_system(model: EpistemicModel) -> bool:
 
     Locality gives one direction (indistinguishable worlds agree on own
     atoms); an interpreted system also satisfies the converse: equal
-    own-atom valuations force indistinguishability.
+    own-atom valuations force indistinguishability.  The grouping comes
+    from :func:`own_labels`, read off a history model's view columns, and
+    is always compared with ``model.labels``.
     """
-    return all(own_labels(model.vals, a) == model.labels[a] for a in model.agents)
+    return all(own_labels(model, a) == model.labels[a] for a in model.agents)
 
 
 def group_relation(model: EpistemicModel, group) -> tuple:
@@ -431,5 +436,6 @@ def full_interpreted_system(atoms, agents=()) -> EpistemicModel:
 
     worlds = tuple(format(bits, f"0{n}b") if n else "w" for bits in range(2 ** n))
     vals = tuple(frozenset(atoms[i] for i in range(n) if w[i] == "1") for w in worlds)
-    labels = {a: own_labels(vals, a) for a in ags}
+    labels = {a: labels_by(frozenset(p for p in val if p.owner == a) for val in vals)
+              for a in ags}
     return EpistemicModel._trusted(worlds, labels, vals, ags)

@@ -255,6 +255,15 @@ class TestInduce:
         assert err == ("error: induced action model would have 128 actions, exceeding "
                        "the cap of 100 (raise EPIUPDATE_MAX_WORLDS to override)\n")
 
+    def test_small_world_cap_prints_short_preconditions(self, capsys, monkeypatch):
+        # 8 actions fit a cap of 10; printed characters are held to the
+        # default cap, so their 13-character preconditions print
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
+        code, out, err = run(capsys, "induce", "Byz", "--atoms", "p_a,p_b")
+        assert (code, err) == (0, "")
+        pres = [a["pre"] for a in json.loads(out)["actions"]]
+        assert len(pres) == 8 and "(p_a & ~p_b)" in pres
+
     def test_round_two_action_ids_distinct_and_seed_free(self):
         # history variables that print alike differ in their leaf content,
         # which the ids show
@@ -644,9 +653,14 @@ class TestPathologicalFormulas:
             else:
                 assert code in (0, 1) and out and err == "", argv[0]
 
-    def test_printing_past_the_cap_exits_two(self, capsys):
+    def test_printing_past_the_cap_exits_two(self, capsys, monkeypatch):
         # the chain would print about 2^45 characters: refused before any is built
         code, out, err = run(capsys, "iunf", _iff_chain(40))
         assert (code, out) == (2, "")
         assert err == ("error: formula would print 35184372088803 characters, exceeding the "
                        "cap of 100000 (raise EPIUPDATE_MAX_WORLDS to override)\n")
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
+        code, out, err = run(capsys, "iunf", _iff_chain(40))
+        assert (code, out) == (2, "")
+        assert err == ("error: formula would print 35184372088803 characters, exceeding the "
+                       "cap of 10 (raise EPIUPDATE_MAX_WORLDS to override)\n")

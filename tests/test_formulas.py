@@ -170,6 +170,13 @@ class TestPrinting:
         with pytest.raises(ModelCapError) as exc:
             format_formula(f)
         assert str(exc.value).startswith("formula would print 35184372088803 characters")
+        # characters are held to the larger of the world cap and its default,
+        # so a small world cap refuses the chain but no short formula
+        monkeypatch.undo()
         monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "10")
-        with pytest.raises(ModelCapError, match="formula would print 12 characters"):
-            format_formula(Conj(Var(P_A), Neg(Var(P_B))))
+        assert format_formula(Conj(Var(P_A), Neg(Var(P_B)))) == "(p_a & ~p_b)"
+        monkeypatch.setattr(formulas, "_format", None)
+        with pytest.raises(ModelCapError) as exc:
+            format_formula(f)
+        assert str(exc.value).startswith("formula would print 35184372088803 characters, "
+                                         "exceeding the cap of 10 ")

@@ -18,12 +18,12 @@ from epiupdate.fixtures import (
     byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 from epiupdate import history
-from epiupdate.history import View, induced_round_product
+from epiupdate.history import HistoryModel, View, induced_round_product
 
 from genlib import (
     concrete_view, initials_key, model_atoms, random_interpreted_system,
-    random_pattern, random_pattern_formula, reference_round_variables,
-    reference_valuation,
+    random_local_model, random_pattern, random_pattern_formula,
+    reference_is_interpreted_system, reference_round_variables, reference_valuation,
 )
 
 AB = ("a", "b")
@@ -551,3 +551,46 @@ class TestReferenceViews:
             below |= last
             assert round_variables(rounds, sq) == last
             assert history_atoms_below(rounds, sq) == below
+
+
+class TestViewColumns:
+    """History rounds and induced rounds carry each agent's latest view per
+    world, which ``own_labels`` groups by in place of the valuations."""
+
+    @staticmethod
+    def by_depth(model, depth):
+        latest = [{p.owner: p for p in val if isinstance(p, View) and p.depth == depth}
+                  for val in model.vals]
+        return {a: tuple(views[a] for views in latest) for a in model.agents}
+
+    def test_columns_are_the_latest_views_by_depth(self):
+        rng = random.Random(2310)
+        verdicts = []
+        for i in range(16):
+            m = (random_interpreted_system(rng, max_agents=2) if i % 2
+                 else random_local_model(rng, max_agents=2, max_worlds=5))
+            p = random_pattern(rng, m.agents, max_graphs=2)
+            atoms = frozenset(model_atoms(m))
+            h, chain = history_start(m), m
+            for n in range(1, 4):
+                h = history_update(h, p)
+                chain = induced_round_product(
+                    chain, p, atoms | realized_history_atoms(chain), m, n - 1)
+                for model in (h, chain):
+                    assert model.columns == self.by_depth(model, n)
+                    verdicts.append(is_interpreted_system(model))
+                    assert verdicts[-1] == reference_is_interpreted_system(model)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_a_model_without_columns_is_read_off_its_valuations(self):
+        # the same round, handed over without columns, scans the valuations
+        # by depth and builds the same next round
+        sq, isp = sq_model(), immediate_snapshot()
+        h2 = history_power(sq, isp, 2)
+        bare = HistoryModel(h2, sq, h2.rounds)
+        assert bare.columns is None and h2.columns is not None
+        assert is_interpreted_system(bare)
+        assert history_update(bare, isp).vals == history_update(h2, isp).vals
+        atoms = frozenset({P_A, P_B}) | realized_history_atoms(h2)
+        assert (induced_round_product(bare, isp, atoms, sq, 2).vals
+                == induced_round_product(h2, isp, atoms, sq, 2).vals)

@@ -175,6 +175,34 @@ class TestInterpretedSystem:
                 assert verdicts[-1] == reference_is_interpreted_system(model)
         assert 30 <= sum(verdicts) <= len(verdicts) - 30
 
+    def test_merged_labels_are_rejected_whatever_the_columns(self):
+        # the grouping read off the view columns is still compared with the
+        # labels: merging a's blocks, columns kept, makes no interpreted system
+        from epiupdate.history import HistoryModel
+        h = history_update(history_update(history_start(sq_model()), immediate_snapshot()),
+                           immediate_snapshot())
+        labels = {**h.labels, "a": [0] * len(h.worlds)}
+        merged = HistoryModel._trusted(h.worlds, labels, h.vals, h.agents,
+                                       h.base, h.rounds, h.columns)
+        assert is_interpreted_system(h) and merged.columns is h.columns
+        assert not is_interpreted_system(merged)
+        assert not reference_is_interpreted_system(merged)
+        assert not models_bisimilar(merged, h)
+
+    def test_quotients_of_later_rounds_carry_no_columns(self):
+        # minimize builds no columns; its verdict comes from the valuations
+        rng = random.Random(2311)
+        verdicts = []
+        for i in range(8):
+            m = random_interpreted_system(rng) if i % 2 else random_local_model(rng)
+            p = random_pattern(rng, m.agents, max_graphs=3)
+            chain = induced_chain(m, [p, p], model_atoms(m))
+            q = minimize(chain)
+            assert chain.columns is not None and q.columns is None
+            verdicts.append(is_interpreted_system(q))
+            assert verdicts[-1] == reference_is_interpreted_system(q)
+        assert 0 < sum(verdicts) < len(verdicts)
+
 
 class TestPositionalCore:
     def test_views_keyed_by_world_id_are_built_on_demand(self):
