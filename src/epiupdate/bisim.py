@@ -303,7 +303,10 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
         own = model.labels[a]
         images = blocks_of(classes, own)
         quotient_labels[a] = labels_by(images[own[i]] for i in reps)
-    quotient = EpistemicModel._trusted(worlds, quotient_labels, vals, model.agents)
+    # bisimilar worlds hold equal views: the representatives' columns are the quotient's
+    columns = model.columns and {a: tuple(col[i] for i in reps)
+                                 for a, col in model.columns.items()}
+    quotient = EpistemicModel._trusted(worlds, quotient_labels, vals, model.agents, columns)
     _require_group_images(model, quotient, classes)
     return quotient
 

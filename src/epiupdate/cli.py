@@ -3,7 +3,9 @@
 Subcommands: update, check, bisim, induce, minimize, iunf, search, dot.
 Exit codes are a stable contract: 0 for a positive answer, 1 for a
 negative one, 2 for any error (bad references, syntax errors, an action
-step that leaves no world, a product or printed formula past the cap).
+step that leaves no world, a product, printed formula or printed
+history variable past the cap, input nested past Python's recursion
+limit).
 Every command builds its models through ``workspace.build_model_expr``;
 ``update`` turns its ``--with`` and ``--with-action`` flags into the
 ``odot`` and ``otimes`` steps of a model expression.
@@ -290,6 +292,9 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](ws, args)  # NAME runs cmd_NAME
     except (EpiupdateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: nested too deeply for Python's recursion limit", file=sys.stderr)
         return 2
 
 

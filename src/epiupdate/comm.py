@@ -22,7 +22,7 @@ class CommGraph:
     product world identifiers and get hashed constantly).
     """
 
-    __slots__ = ("agents", "edges", "name", "_hash", "_heard")
+    __slots__ = ("agents", "edges", "name", "_hash", "heard")
 
     def __init__(self, agents, edges):
         agents = tuple(agents)
@@ -39,7 +39,11 @@ class CommGraph:
         # computed once: every product world id names its graph
         self.name = _graph_name(agents, edges)
         self._hash = hash((agents, edges))
-        self._heard = None
+        # each agent -> the frozenset of agents it hears from, itself included
+        senders = {a: [] for a in agents}
+        for s, r in edges:
+            senders[r].append(s)
+        self.heard = {a: frozenset(ss) for a, ss in senders.items()}
 
     def __eq__(self, other):
         return (self is other
@@ -56,20 +60,6 @@ class CommGraph:
 
     def __str__(self):
         return self.name
-
-    @property
-    def heard(self) -> dict:
-        """Each agent -> the frozenset of agents it hears from, itself included.
-
-        Computed on first use: patterns and searches build many graphs that
-        are never used in an update.
-        """
-        if self._heard is None:
-            senders = {a: set() for a in self.agents}
-            for s, r in self.edges:
-                senders[r].add(s)
-            self._heard = {a: frozenset(ss) for a, ss in senders.items()}
-        return self._heard
 
     def literal(self) -> str:
         extra = sorted((s, r) for s, r in self.edges if s != r)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .comm import CommGraph, CommPattern
-from .models import DEFAULT_WORLD_CAP, _component_name, atom_key, ensure_capacity
+from .models import _component_name, atom_key, ensure_printable
 
 
 class Formula:
@@ -234,8 +234,7 @@ def format_formula(f: Formula) -> str:
     Sugar such as ``iff`` prints its shared operands once per use, so each
     link of a ``<->`` chain doubles the length.  That is counted first, each
     distinct node once, and held to the larger of the world cap and its default."""
-    if (length := _printed_length(f, {})) > DEFAULT_WORLD_CAP:
-        ensure_capacity(length, "formula would print {} characters")
+    ensure_printable(_printed_length(f, {}), "formula")
     return _format(f)
 
 

@@ -14,20 +14,21 @@ down exactly the worlds an agent cannot distinguish.
 
 An agent's view after sigma.R is its sender set in R with those senders'
 views after sigma (Fagin, Halpern, Moses & Vardi, *Reasoning About
-Knowledge*, 1995), built once per class of the senders' group.  History
-and induced rounds keep each agent's latest view per world, the model's
-``columns``, for the next round to read.  Graphs are reflexive, so a
-latest view holds the agent's previous one, and so on down to the leaf
-with its initial own atoms, and is itself an own atom: two worlds give an
-agent equal latest views iff they agree on its own atoms.  So
-``models.own_labels`` groups by the columns, one hash per world, and
-``is_interpreted_system`` compares that with the labels as before.  This
-is the one view stepper over models: universes of history variables are
-read off history rounds, which the world cap bounds; ``view_of`` is its
-abstract step.  Views are hash-consed (Filliatre & Conchon, 2006) through
-a weak table that keeps none alive, so a history round and an induced
-chain alive together share their history variables, and valuations
-compare them by identity.
+Knowledge*, 1995), built once per class of the senders' group.  The
+round state is each agent's latest view per world, the model's
+``columns``: the leaves in a history model at round zero, then each
+round's views; a quotient keeps its representatives' (bisimilar worlds
+hold equal views).  Graphs are reflexive, so a latest view holds the
+agent's previous one, and so on down to the leaf with its initial own
+atoms, and is itself an own atom: two worlds give an agent equal latest
+views iff they agree on its own atoms.  So ``models.own_labels`` groups
+by the columns, one hash per world, and ``is_interpreted_system``
+compares that with the labels.  This is the one view stepper over
+models: universes of history variables are read off history rounds,
+which the world cap bounds; ``view_of`` is its abstract step.  Views are
+hash-consed (Filliatre & Conchon, 2006) through a weak table that keeps
+none alive, so a history round and an induced chain alive together share
+their history variables, and valuations compare them by identity.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
@@ -48,7 +49,9 @@ from itertools import chain, product
 
 from .comm import CommPattern, pattern_update
 from .errors import EpiupdateError
-from .models import EpistemicModel, atom_key, ensure_capacity, group_labels, world_name
+from .models import (
+    EpistemicModel, atom_key, ensure_capacity, ensure_printable, group_labels, world_name,
+)
 
 _VIEWS = weakref.WeakValueDictionary()  # fields -> the live view with them
 
@@ -68,7 +71,7 @@ class View:
     """
 
     __slots__ = ("owner", "children", "initial", "depth", "is_abstract", "_hash",
-                 "_skeleton", "__weakref__")
+                 "_skeleton", "_printed", "__weakref__")
 
     def __new__(cls, owner, children=(), initial=None):
         children = tuple(children)
@@ -95,6 +98,7 @@ class View:
                             else initial is None)
         self._hash = hash(key)
         self._skeleton = None
+        self._printed = None
         _VIEWS[key] = self
         return self
 
@@ -137,15 +141,34 @@ class View:
             return f"{inner[0]}.{root}"
         return "(" + ",".join(inner) + f").{root}"
 
+    def _counts(self) -> tuple:
+        """``(len(self.serialize()), characters of the leaf names, leaves)``,
+        counted once per view from its children's, so a print is measured unbuilt."""
+        if self._printed is None:
+            if self.depth:
+                ser, chars, leaves = map(sum, zip(*[c._counts() for c in self.children]))
+                if ser:  # "inner.root" or "(inner,...).root"
+                    ser += 1 if len(self.children) == 1 else len(self.children) + 2
+                self._printed = (ser + sum(len(c.owner) for c in self.children), chars, leaves)
+            else:
+                self._printed = (0, len(_leaf_names(self)[0]), 1)
+        return self._printed
+
+    def printed_length(self) -> int:
+        """``len(str(self))``, known without building the string."""
+        return self._counts()[0] + len(self.owner) + (3 if self.depth > 1 else 1)
+
     def __str__(self):
-        ser = self.serialize()
-        if "." in ser:
-            return f"({ser})_{self.owner}"
-        return f"{ser}_{self.owner}"
+        ensure_printable(self.printed_length(), "history variable")
+        if self.depth > 1:  # the rendering holds a dot
+            return f"({self.serialize()})_{self.owner}"
+        return f"{self.serialize()}_{self.owner}"
 
     def id_name(self) -> str:
         """The form ids use: ``str(self)`` and the sorted leaf contents in
         tree order (``ab_b[p_a|]``), so that look-alike variables differ."""
+        _, chars, leaves = self._counts()
+        ensure_printable(self.printed_length() + chars + leaves + 1, "history variable")
         return f"{self}[{'|'.join(_leaf_names(self))}]"
 
 
@@ -181,14 +204,23 @@ class HistoryModel(EpistemicModel):
     round.  It differs from a plain model only in its update step: a
     pattern steps to the next history round and an action model is
     rejected, so ``satisfies`` on a history model is the history-based
-    semantics.  Like any model it keeps no stepped models; from round one
+    semantics.  Like any model it keeps no stepped models; from round zero
     on it carries its view columns (see the module docstring).
     """
 
-    def __init__(self, model: EpistemicModel, base: EpistemicModel, rounds=()):
-        self._assign(model.worlds, model.labels, model.vals, model.agents, base, rounds)
+    def __init__(self, model: EpistemicModel):
+        """Round zero on ``model``, which must hold no history variables: its
+        columns are the leaves, each agent's initial own atoms per world."""
+        for w, val in zip(model.worlds, model.vals):
+            if held := [p for p in val if isinstance(p, View)]:
+                raise EpiupdateError(
+                    "a history starts from a model without history variables; world "
+                    f"{world_name(w)} holds {min(held, key=atom_key)}")
+        leaves = {a: tuple(View(a, (), frozenset(p for p in val if p.owner == a))
+                           for val in model.vals) for a in model.agents}
+        self._assign(model.worlds, model.labels, model.vals, model.agents, model, (), leaves)
 
-    def _assign(self, worlds, labels, vals, agents, base, rounds, columns=None):
+    def _assign(self, worlds, labels, vals, agents, base, rounds, columns):
         super()._assign(worlds, labels, vals, agents, columns)
         self.base = base
         self.rounds = tuple(rounds)
@@ -214,7 +246,7 @@ class HistoryModel(EpistemicModel):
 
 def history_start(model: EpistemicModel) -> HistoryModel:
     """Round zero: the model itself, which must hold no history variables."""
-    return HistoryModel(model, model, ())
+    return HistoryModel(model)
 
 
 def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
@@ -225,38 +257,18 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     of every agent for the extended history sigma.R.
     """
     plain = pattern_update(h, pattern)
-    vals, columns = _round_valuation(plain, h, h.round, pattern.graphs)
+    vals, columns = _round_valuation(plain, h, pattern.graphs)
     return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents,
                                  h.base, h.rounds + (pattern,), columns)
 
 
-def _latest_views(model: EpistemicModel, depth: int) -> dict:
-    """Each agent's view after ``depth`` rounds at each world, in world
-    order: the model's columns, or else read off its valuations by depth.
-    That is exact only if the start holds no history variables, so round
-    zero, which builds the leaves, rejects any."""
-    if depth:
-        return model.columns or {a: tuple(next(p for p in val if isinstance(p, View)
-                                               and p.owner == a and p.depth == depth)
-                                          for val in model.vals) for a in model.agents}
-    for w, val in zip(model.worlds, model.vals):
-        held = [p for p in val if isinstance(p, View)]
-        if held:
-            raise EpiupdateError(
-                "a history starts from a model without history variables; world "
-                f"{world_name(w)} holds {min(held, key=atom_key)}")
-    return {a: tuple(View(a, (), frozenset(p for p in val if p.owner == a)) for val in model.vals)
-            for a in model.agents}
-
-
-def _round_valuation(plain: EpistemicModel, prev: EpistemicModel,
-                     rounds_so_far: int, graphs) -> tuple:
+def _round_valuation(plain: EpistemicModel, prev: EpistemicModel, graphs) -> tuple:
     """The valuations of ``plain`` with the new round's history variables
-    true, and its columns.  ``plain`` lists a world ``(v, step)`` per world
-    v of ``prev`` (after ``rounds_so_far`` rounds) and graph, in that order,
-    as the products do.  A sender's view is its own atom, so constant on its
+    true, and its columns, read off ``prev``'s.  ``plain`` lists a world
+    ``(v, step)`` per world v of ``prev`` and graph, in that order, as the
+    products do.  A sender's view is its own atom, so constant on its
     blocks: an agent's view is built once per class of its senders."""
-    latest, columns = _latest_views(prev, rounds_so_far), {}
+    latest, columns = prev.columns, {}
     for a in plain.agents:
         heard = {}  # senders -> the agent's new view at each world of prev
         for senders in dict.fromkeys(g.heard[a] for g in graphs):
@@ -283,7 +295,6 @@ def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> Histor
 def _round_layers(rounds, base: EpistemicModel):
     """Per round of a pattern sequence, the history variables of its history
     round on ``base``; a base holding any fails, even with no rounds."""
-    _latest_views(base, 0)
     h = history_start(base)
     for pattern in rounds:
         h = history_update(h, pattern)
@@ -314,17 +325,21 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
                           rounds_so_far: int) -> EpistemicModel:
     """One induced-model round in the history setting, applied lazily.
 
-    ``model`` is the chain after ``rounds_so_far`` rounds from ``base``
-    (the views are read off ``model``).  ``atoms`` is the atom universe of
-    the round (base atoms plus all history variables realized in earlier
-    rounds).  Worlds pair with (graph, fired valuation) actions exactly as
-    the materialized induced model would, and the new round's history
-    variables are made true, mirroring the round update.
+    ``model`` is the chain after ``rounds_so_far`` rounds from ``base``,
+    whose leaves are built here, or a later round with its columns.
+    ``atoms`` is the atom universe of the round (base atoms plus all history
+    variables realized in earlier rounds).  Worlds pair with (graph, fired
+    valuation) actions exactly as the materialized induced model would, and
+    the new round's history variables are made true, as in the round update.
     """
     from .actions import apply_induced
 
+    prev = HistoryModel(model) if rounds_so_far == 0 else model
+    if prev.columns is None:
+        raise EpiupdateError(f"induced round {rounds_so_far + 1} reads the view columns "
+                             f"of round {rounds_so_far}, and this model has none")
     plain = apply_induced(model, pattern, atoms)
-    vals, columns = _round_valuation(plain, model, rounds_so_far, pattern.graphs)
+    vals, columns = _round_valuation(plain, prev, pattern.graphs)
     return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents, columns)
 
 

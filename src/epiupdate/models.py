@@ -69,6 +69,13 @@ def ensure_capacity(count: int, what: str = "product would have {} worlds") -> N
         )
 
 
+def ensure_printable(length: int, what: str) -> None:
+    """Raise ModelCapError if a text of ``length`` characters, about to be
+    built, exceeds the larger of the world cap and its default."""
+    if length > DEFAULT_WORLD_CAP:
+        ensure_capacity(length, f"{what} would print {{}} characters")
+
+
 def _sorted_agents(agents) -> tuple:
     """The agent names in order; a name given twice is an error."""
     agents = tuple(sorted(agents))
@@ -251,7 +258,7 @@ class EpistemicModel(_Partitioned):
     def _assign(self, worlds: tuple, labels: dict, vals: tuple, agents: tuple, columns=None):
         """The trusted path: ``labels`` per agent in the form of
         :func:`labels_by`, ``vals`` a frozenset per world in world order,
-        ``agents`` sorted, ``columns`` set by history and induced rounds."""
+        ``agents`` sorted, ``columns`` set by history rounds and kept by quotients."""
         self._assign_partitions(worlds, labels, agents)
         self.worlds = worlds
         self.vals = vals
@@ -324,9 +331,11 @@ class PointedModel:
 
 def world_name(w) -> str:
     """Render a (possibly product) world identifier as a dotted path."""
-    if isinstance(w, tuple) and len(w) == 2:
-        return f"{world_name(w[0])}.{_component_name(w[1])}"
-    return _component_name(w)
+    steps = []
+    while isinstance(w, tuple) and len(w) == 2:
+        w, step = w
+        steps.append(_component_name(step))
+    return ".".join([_component_name(w), *reversed(steps)])
 
 
 def _component_name(x) -> str:
@@ -349,7 +358,8 @@ def _component_name(x) -> str:
 def own_labels(model: EpistemicModel, agent) -> list:
     """Each world's block of the grouping by the agent's own atoms, in the
     form of :func:`labels_by`: by its column of latest views if the model has
-    columns (see ``history``), else by one intersection per distinct valuation."""
+    columns (history and induced rounds and their quotients; see ``history``),
+    else by one intersection per distinct valuation."""
     if model.columns is not None:
         return labels_by(model.columns[agent])
     distinct = set(model.vals)
@@ -388,8 +398,8 @@ def is_interpreted_system(model: EpistemicModel) -> bool:
     Locality gives one direction (indistinguishable worlds agree on own
     atoms); an interpreted system also satisfies the converse: equal
     own-atom valuations force indistinguishability.  The grouping comes
-    from :func:`own_labels`, read off a history model's view columns, and
-    is always compared with ``model.labels``.
+    from :func:`own_labels`, read off the view columns of any model that
+    has them, and is always compared with ``model.labels``.
     """
     return all(own_labels(model, a) == model.labels[a] for a in model.agents)
 

@@ -40,6 +40,7 @@ from .fixtures import (
     byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot,
     skip, sq_model, universal_pattern, P_A, P_B, Q_A, AGENTS_AB,
 )
+from .history import View
 from .models import (
     Atom, EpistemicModel, atom_key, atom_named, blocks_of, check_owners, _sorted_agents,
     world_name,
@@ -126,7 +127,10 @@ def _named_relations(model, names: list) -> dict:
 def model_to_json(model: EpistemicModel) -> dict:
     atoms = frozenset().union(*model.vals)
     base_atoms = sorted((p for p in atoms if isinstance(p, Atom)), key=atom_key)
-    history_atoms = sorted({str(p) for p in atoms if not isinstance(p, Atom)})
+    # the longest view prints first: one past the cap fails whatever the hash order
+    history = sorted((p for p in atoms if not isinstance(p, Atom)), reverse=True,
+                     key=lambda p: p.printed_length() if isinstance(p, View) else 0)
+    history_atoms = sorted(set(map(str, history)))
     names = list(map(world_name, model.worlds))
     out = {
         "agents": list(model.agents),

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -469,6 +470,7 @@ class TestAcrossHashSeeds:
              "--bound", "1"]),
         (0, ["search", "--bases", "Sq:11", "--target", "pattern:Byz"]),
         (0, ["induce", "IS", "--round", "2", "--atoms", "p_a"]),
+        (2, ["update", "Sq", "--history", "--with", "U", "--rounds", "30"]),
     ]
 
     def test_outputs_agree_across_hash_seeds(self, tmp_path):
@@ -500,6 +502,49 @@ class TestAcrossHashSeeds:
         assert [proc.returncode for proc in procs] == [0, 0, 0]
         assert outs[0] == outs[1] == outs[2]
         assert [int(line.split()[0]) for line in outs[0]] == [code for code, _ in self.COMMANDS]
+
+
+class TestDeepNesting:
+    """Long model expressions and long histories keep the exit-code
+    contract: output, or exit 2 with empty stdout and one ``error:`` line."""
+
+    @pytest.mark.parametrize("command", ["dot", "minimize"])
+    def test_a_long_expression_prints(self, capsys, command):
+        code, out, err = run(capsys, command, "Sq" + " odot I" * 1100)
+        assert code == 0 and out and err == ""
+
+    def test_many_update_rounds_print(self, capsys):
+        code, out, err = run(capsys, "update", "Sq", "--with", "I", "--rounds", "1000")
+        assert code == 0 and err == ""
+        assert json.loads(out)["worlds"][0]["id"] == "00" + ".I" * 1000
+
+    def test_a_deep_history_prints_or_exits_two(self, capsys):
+        # each view nests 500 deep; printing one may pass Python's recursion
+        # limit, depending on how many frames the interpreter spends per call
+        start = time.perf_counter()
+        code, out, err = run(capsys, "update", "Sq", "--history", "--with", "I",
+                             "--rounds", "500")
+        assert time.perf_counter() - start < 5
+        if code == 2:
+            assert out == "" and err == "error: nested too deeply for Python's recursion limit\n"
+        else:
+            assert code == 0 and len(json.loads(out)["worlds"]) == 4 and err == ""
+
+    def test_printing_history_variables_past_the_cap_exits_two(self, capsys):
+        # with U, the largest view after n rounds prints 2^(n+2) - 2 characters
+        code, out, err = run(capsys, "update", "Sq", "--history", "--with", "U",
+                             "--rounds", "14")
+        assert code == 0 and err == ""
+        assert max(map(len, json.loads(out)["history_atoms"])) == 2 ** 16 - 2
+        for rounds in (15, 30):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "update", "Sq", "--history", "--with", "U",
+                                 "--rounds", str(rounds))
+            assert time.perf_counter() - start < 5
+            assert (code, out) == (2, "")
+            assert err == (f"error: history variable would print {2 ** (rounds + 2) - 2} "
+                           "characters, exceeding the cap of 100000 (raise "
+                           "EPIUPDATE_MAX_WORLDS to override)\n")
 
 
 def _workspace(**models):

@@ -10,7 +10,7 @@ from epiupdate import (
     PatternBox, Var,
     atom_holds, history_atoms_below, history_power,
     history_start, history_update, induced_chain, is_interpreted_system,
-    is_local, knows, models_bisimilar, pattern_update, realized_history_atoms,
+    is_local, knows, minimize, models_bisimilar, pattern_update, realized_history_atoms,
     round_variables, satisfies, view_of, iff, action_update,
     induced_action_model,
 )
@@ -168,6 +168,29 @@ class TestViews:
         assert not atom_holds(val, view_of("b", (u,)))  # same shape, other owner
         assert atom_holds(val, Var(P_A).atom)
 
+    def test_printed_lengths_are_counted_before_printing(self, monkeypatch):
+        # each view prints exactly as many characters as counted: under a cap
+        # of that many it prints, under one less it is refused
+        from epiupdate import models
+        monkeypatch.delenv("EPIUPDATE_MAX_WORLDS", raising=False)
+        rng = random.Random(2413)
+        views = set()
+        for _ in range(6):
+            m = random_interpreted_system(rng)
+            p = random_pattern(rng, m.agents, max_graphs=3)
+            views |= realized_history_atoms(history_power(m, p, 3))
+            views |= set().union(*history_start(m).columns.values())
+            views.add(view_of(m.agents[0], [rng.choice(p.graphs) for _ in range(3)]))
+        printed = {v: (str(v), v.id_name()) for v in views}
+        for v, (text, id_text) in printed.items():
+            assert v.printed_length() == len(text)
+            for show, n in ((str, len(text)), (View.id_name, len(id_text))):
+                monkeypatch.setattr(models, "DEFAULT_WORLD_CAP", n)
+                assert len(show(v)) == n
+                monkeypatch.setattr(models, "DEFAULT_WORLD_CAP", n - 1)
+                with pytest.raises(ModelCapError, match=f"history variable would print {n} "):
+                    show(v)
+
 
 class TestRoundUpdate:
     def test_round_zero_has_no_history_atoms(self):
@@ -224,8 +247,8 @@ class TestRoundUpdate:
                 assert base == set(plain.valuation[w])
 
     def test_start_with_history_variables_rejected(self):
-        # the round step reads the latest views off the valuation by depth,
-        # which needs a start without history variables
+        # a start's leaves are its agents' initial own atoms, so a start
+        # that holds history variables is refused when it is made
         sq = sq_model()
         isp = immediate_snapshot()
         h1 = history_power(sq, isp, 1)
@@ -554,14 +577,20 @@ class TestReferenceViews:
 
 
 class TestViewColumns:
-    """History rounds and induced rounds carry each agent's latest view per
-    world, which ``own_labels`` groups by in place of the valuations."""
+    """History models and induced rounds carry each agent's latest view per
+    world from round zero on, which the next round reads and ``own_labels``
+    groups by in place of the valuations."""
 
     @staticmethod
     def by_depth(model, depth):
         latest = [{p.owner: p for p in val if isinstance(p, View) and p.depth == depth}
                   for val in model.vals]
         return {a: tuple(views[a] for views in latest) for a in model.agents}
+
+    @staticmethod
+    def leaves(model):
+        return {a: tuple(View(a, (), frozenset(p for p in val if p.owner == a))
+                         for val in model.vals) for a in model.agents}
 
     def test_columns_are_the_latest_views_by_depth(self):
         rng = random.Random(2310)
@@ -572,6 +601,10 @@ class TestViewColumns:
             p = random_pattern(rng, m.agents, max_graphs=2)
             atoms = frozenset(model_atoms(m))
             h, chain = history_start(m), m
+            leaves = self.leaves(m)
+            assert h.columns == leaves
+            verdicts.append(is_interpreted_system(h))
+            assert verdicts[-1] == reference_is_interpreted_system(h)
             for n in range(1, 4):
                 h = history_update(h, p)
                 chain = induced_round_product(
@@ -580,17 +613,45 @@ class TestViewColumns:
                     assert model.columns == self.by_depth(model, n)
                     verdicts.append(is_interpreted_system(model))
                     assert verdicts[-1] == reference_is_interpreted_system(model)
+                    # the agent's own children lead down to its leaf in the base world
+                    for a, column in model.columns.items():
+                        for w, view in zip(model.worlds, column):
+                            for _ in range(n):
+                                w, view = w[0], next(c for c in view.children if c.owner == a)
+                            assert view is leaves[a][m.worlds.index(w)]
         assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_a_model_without_columns_is_read_off_its_valuations(self):
-        # the same round, handed over without columns, scans the valuations
-        # by depth and builds the same next round
+    def test_a_history_model_is_refused_as_a_start(self):
+        h1 = history_power(sq_model(), immediate_snapshot(), 1)
+        with pytest.raises(EpiupdateError,
+                           match="without history variables; world 00.Rab holds"):
+            HistoryModel(h1)
+
+    def test_a_later_round_without_columns_is_refused(self):
+        # round zero builds its leaves; a later round reads the columns of
+        # the round before, which a plain product does not have
         sq, isp = sq_model(), immediate_snapshot()
-        h2 = history_power(sq, isp, 2)
-        bare = HistoryModel(h2, sq, h2.rounds)
-        assert bare.columns is None and h2.columns is not None
-        assert is_interpreted_system(bare)
-        assert history_update(bare, isp).vals == history_update(h2, isp).vals
-        atoms = frozenset({P_A, P_B}) | realized_history_atoms(h2)
-        assert (induced_round_product(bare, isp, atoms, sq, 2).vals
-                == induced_round_product(h2, isp, atoms, sq, 2).vals)
+        with pytest.raises(EpiupdateError, match="induced round 2 reads the view columns"):
+            induced_round_product(pattern_update(sq, isp), isp, [P_A, P_B], sq, 1)
+
+    def test_quotients_step_like_their_rounds(self):
+        # a quotient keeps its representatives' columns, so the next induced
+        # round on it is bisimilar to the next round on the chain itself
+        rng = random.Random(2412)
+        merged = 0
+        for i in range(12):
+            m = (random_interpreted_system(rng, max_agents=2) if i % 2
+                 else random_local_model(rng, max_agents=2, max_worlds=5))
+            p = random_pattern(rng, m.agents, max_graphs=2)
+            atoms = frozenset(model_atoms(m))
+            chain = m
+            for n in range(1, 3):
+                chain = induced_round_product(
+                    chain, p, atoms | realized_history_atoms(chain), m, n - 1)
+                q = minimize(chain)
+                merged += len(q.worlds) < len(chain.worlds)
+                assert is_interpreted_system(q) == reference_is_interpreted_system(q)
+                universe = atoms | realized_history_atoms(chain)
+                assert models_bisimilar(induced_round_product(q, p, universe, m, n),
+                                        induced_round_product(chain, p, universe, m, n))
+        assert merged

@@ -189,8 +189,9 @@ class TestInterpretedSystem:
         assert not reference_is_interpreted_system(merged)
         assert not models_bisimilar(merged, h)
 
-    def test_quotients_of_later_rounds_carry_no_columns(self):
-        # minimize builds no columns; its verdict comes from the valuations
+    def test_quotients_keep_their_representatives_columns(self):
+        # each quotient world is named by its first representative and keeps
+        # that world's column entries; the verdict is read off them
         rng = random.Random(2311)
         verdicts = []
         for i in range(8):
@@ -198,7 +199,9 @@ class TestInterpretedSystem:
             p = random_pattern(rng, m.agents, max_graphs=3)
             chain = induced_chain(m, [p, p], model_atoms(m))
             q = minimize(chain)
-            assert chain.columns is not None and q.columns is None
+            reps = [chain.worlds.index(w) for w in q.worlds]
+            assert q.columns == {a: tuple(column[i] for i in reps)
+                                 for a, column in chain.columns.items()}
             verdicts.append(is_interpreted_system(q))
             assert verdicts[-1] == reference_is_interpreted_system(q)
         assert 0 < sum(verdicts) < len(verdicts)
