@@ -114,14 +114,18 @@ def induced_action_model(pattern: CommPattern, atoms) -> ActionModel:
     pre = {(g, q): description(q, atom_list) for (g, q) in actions}
     agents = tuple(sorted(pattern.agents))
     # what an agent receives in an action: its senders and their atoms
-    labels = {a: labels_by((g.heard[a], _heard_atoms(g.heard[a], q)) for g, q in actions)
+    masks = _sender_masks(pattern, atom_list)
+    labels = {a: labels_by((g.heard[a], q & masks[g.heard[a]]) for g, q in actions)
               for a in agents}
     label = f"U({pattern.name})" if pattern.name else None
     return ActionModel._trusted(actions, labels, pre, agents, label)
 
 
-def _heard_atoms(senders, fired):
-    return frozenset(p for p in fired if p.owner in senders)
+def _sender_masks(pattern: CommPattern, atoms) -> dict:
+    """Per sender set of the pattern, the atoms its senders own, so the
+    atoms heard from them are one intersection ``fired & mask``."""
+    senders = {s for g in pattern.graphs for s in g.heard.values()}
+    return {s: frozenset(p for p in atoms if p.owner in s) for s in senders}
 
 
 def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> EpistemicModel:
@@ -142,8 +146,8 @@ def apply_induced(model: EpistemicModel, pattern: CommPattern, atoms) -> Epistem
                    for g in pattern.graphs)
     vals = tuple(val for val in model.vals for _ in pattern.graphs)
 
-    senders = {g.heard[a] for g in pattern.graphs for a in model.agents}
-    heard = {(q, s): _heard_atoms(s, q) for q in set(fired) for s in senders}
+    masks = _sender_masks(pattern, atom_set)
+    heard = {(q, s): q & mask for q in set(fired) for s, mask in masks.items()}
     labels = {}
     for a in model.agents:
         graph_senders = [g.heard[a] for g in pattern.graphs]

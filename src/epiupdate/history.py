@@ -26,9 +26,13 @@ by the columns, one hash per world, and ``is_interpreted_system``
 compares that with the labels.  This is the one view stepper over
 models: universes of history variables are read off history rounds,
 which the world cap bounds; ``view_of`` is its abstract step.  Views are
-hash-consed (Filliatre & Conchon, 2006) through a weak table that keeps
-none alive, so a history round and an induced chain alive together share
-their history variables, and valuations compare them by identity.
+hash-consed (Filliatre & Conchon, 2006) through one table of weak
+references that keeps none alive, so a history round and an induced
+chain alive together share their history variables, and valuations
+compare them by identity.  The public ``View(...)`` checks its fields
+and then interns; a round interns its views directly on the trusted
+path, one dictionary lookup for a view that exists, since every child is
+a latest view of the round before.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
@@ -53,7 +57,43 @@ from .models import (
     EpistemicModel, atom_key, ensure_capacity, ensure_printable, group_labels, world_name,
 )
 
-_VIEWS = weakref.WeakValueDictionary()  # fields -> the live view with them
+_VIEWS = {}  # fields -> a weakref.KeyedRef to the live view with them
+
+
+def _drop(ref) -> None:
+    """Remove a dead view's entry, unless an equal view has taken its key."""
+    if _VIEWS.get(ref.key) is ref:
+        del _VIEWS[ref.key]
+
+
+def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "View":
+    """The live view with these fields, built only if there is none.
+
+    The trusted path: ``children`` is a tuple in agent order holding
+    ``owner``, ``initial`` is given only without children, and ``depth``
+    and ``is_abstract`` are what the children make them.  ``View(...)``
+    checks its fields and ends here.
+    """
+    # hash(None) is address-based on some Pythons, so a view without an
+    # initial valuation leaves it out: hashes stay equal across runs
+    key = (owner, children) if initial is None else (owner, children, initial)
+    ref = _VIEWS.get(key)
+    if ref is not None:
+        view = ref()
+        if view is not None:
+            return view
+    view = object.__new__(View)
+    view.owner = owner
+    view.children = children
+    view.initial = initial
+    view.depth = depth
+    view.is_abstract = is_abstract
+    view._hash = hash(key)
+    view._skeleton = None
+    view._printed = None
+    view._text = None
+    _VIEWS[key] = weakref.KeyedRef(view, _drop, key)
+    return view
 
 
 class View:
@@ -66,41 +106,29 @@ class View:
     order; graphs are reflexive, so the owner is among them.  ``depth``
     counts the rounds, 0 for a round-zero view.  As a local atom of its
     owner a view is the history variable of its round.  Views are
-    immutable and hash-consed, so equal views are one object while any is
-    alive; equality stays structural, so no answer depends on the table.
+    immutable and hash-consed through one table of weak references, so
+    equal views are one object while any is alive; equality stays
+    structural, so no answer depends on the table.  ``View(...)`` checks
+    its fields; a round builds its views through ``_intern``, the trusted
+    path, since their children are the latest views of the round before.
     """
 
     __slots__ = ("owner", "children", "initial", "depth", "is_abstract", "_hash",
-                 "_skeleton", "_printed", "__weakref__")
+                 "_skeleton", "_printed", "_text", "__weakref__")
 
     def __new__(cls, owner, children=(), initial=None):
         children = tuple(children)
-        # hash(None) is address-based on some Pythons, so a view without an
-        # initial valuation leaves it out: hashes stay equal across runs
-        key = (owner, children) if initial is None else (owner, children, initial)
-        self = _VIEWS.get(key)
-        if self is not None:
-            return self
-        if children:
-            group = [c.owner for c in children]
-            if any(x >= y for x, y in zip(group, group[1:])):
-                raise ValueError("a view's children need distinct owners in agent order")
-            if owner not in group:
-                raise ValueError("a view's owner must be among the agents it heard from")
-            if initial is not None:
-                raise ValueError("only round-zero views carry an initial valuation")
-        self = super().__new__(cls)
-        self.owner = owner
-        self.children = children
-        self.initial = initial
-        self.depth = 1 + max(c.depth for c in children) if children else 0
-        self.is_abstract = (any(c.is_abstract for c in children) if children
-                            else initial is None)
-        self._hash = hash(key)
-        self._skeleton = None
-        self._printed = None
-        _VIEWS[key] = self
-        return self
+        if not children:
+            return _intern(owner, children, initial, 0, initial is None)
+        group = [c.owner for c in children]
+        if any(x >= y for x, y in zip(group, group[1:])):
+            raise ValueError("a view's children need distinct owners in agent order")
+        if owner not in group:
+            raise ValueError("a view's owner must be among the agents it heard from")
+        if initial is not None:
+            raise ValueError("only round-zero views carry an initial valuation")
+        return _intern(owner, children, None, 1 + max(c.depth for c in children),
+                       any(c.is_abstract for c in children))
 
     def __eq__(self, other):
         return (self is other
@@ -118,40 +146,40 @@ class View:
 
     def skeleton(self) -> "View":
         """The same tree with all leaf content removed (built once per view)."""
-        sk = self._skeleton
-        if sk is None:
-            sk = View(self.owner, [c.skeleton() for c in self.children])
-            if sk is not self:  # a view keeping itself would be a cycle
-                self._skeleton = sk
-        return sk
+        for v in _bottom_up(self, lambda v: v._skeleton is not None):
+            sk = View(v.owner, [c._skeleton or c for c in v.children])
+            if sk is not v:  # a view keeping itself would be a cycle
+                v._skeleton = sk
+        return self._skeleton or self
 
     def serialize(self) -> str:
         """Canonical rendering: children in agent order, dot before the group.
 
         Leaves are invisible; a view whose children are all round-zero
-        prints as just its sender set.
+        prints as just its sender set.  Built once per view.
         """
-        if not self.depth:
-            return ""
-        root = "".join(c.owner for c in self.children)
-        if all(not c.depth for c in self.children):
-            return root
-        inner = [c.serialize() for c in self.children]
-        if len(inner) == 1:
-            return f"{inner[0]}.{root}"
-        return "(" + ",".join(inner) + f").{root}"
+        for v in _bottom_up(self, lambda v: v._text is not None):
+            root = "".join(c.owner for c in v.children)
+            inner = [c._text for c in v.children]
+            if not any(inner):  # a leaf, or all children are leaves
+                v._text = root
+            elif len(inner) == 1:
+                v._text = f"{inner[0]}.{root}"
+            else:
+                v._text = "(" + ",".join(inner) + f").{root}"
+        return self._text
 
     def _counts(self) -> tuple:
         """``(len(self.serialize()), characters of the leaf names, leaves)``,
         counted once per view from its children's, so a print is measured unbuilt."""
-        if self._printed is None:
-            if self.depth:
-                ser, chars, leaves = map(sum, zip(*[c._counts() for c in self.children]))
+        for v in _bottom_up(self, lambda v: v._printed is not None):
+            if v.depth:
+                ser, chars, leaves = map(sum, zip(*[c._printed for c in v.children]))
                 if ser:  # "inner.root" or "(inner,...).root"
-                    ser += 1 if len(self.children) == 1 else len(self.children) + 2
-                self._printed = (ser + sum(len(c.owner) for c in self.children), chars, leaves)
+                    ser += 1 if len(v.children) == 1 else len(v.children) + 2
+                v._printed = (ser + sum(len(c.owner) for c in v.children), chars, leaves)
             else:
-                self._printed = (0, len(_leaf_names(self)[0]), 1)
+                v._printed = (0, len(_leaf_name(v)), 1)
         return self._printed
 
     def printed_length(self) -> int:
@@ -172,10 +200,36 @@ class View:
         return f"{self}[{'|'.join(_leaf_names(self))}]"
 
 
+def _bottom_up(view: View, known) -> list:
+    """The distinct views below ``view``, itself included, children before
+    parents, with no stack of Python frames; a view for which ``known``
+    holds and the views below it are left out."""
+    order, seen, stack = [], set(), [(view, False)]
+    while stack:
+        v, expanded = stack.pop()
+        if expanded:
+            order.append(v)
+        elif id(v) not in seen and not known(v):
+            seen.add(id(v))
+            stack.append((v, True))
+            stack.extend((c, False) for c in v.children)
+    return order
+
+
+def _leaf_name(leaf: View) -> str:
+    return "?" if leaf.initial is None else ",".join(sorted(map(str, leaf.initial)))
+
+
 def _leaf_names(view: View) -> list:
-    if view.depth:
-        return [name for c in view.children for name in _leaf_names(c)]
-    return ["?" if view.initial is None else ",".join(sorted(map(str, view.initial)))]
+    """The names of the leaves below ``view`` in tree order, repeats kept."""
+    names, stack = [], [view]
+    while stack:
+        v = stack.pop()
+        if v.depth:
+            stack.extend(reversed(v.children))
+        else:
+            names.append(_leaf_name(v))
+    return names
 
 
 def view_of(agent: str, history) -> View:
@@ -216,7 +270,7 @@ class HistoryModel(EpistemicModel):
                 raise EpiupdateError(
                     "a history starts from a model without history variables; world "
                     f"{world_name(w)} holds {min(held, key=atom_key)}")
-        leaves = {a: tuple(View(a, (), frozenset(p for p in val if p.owner == a))
+        leaves = {a: tuple(_intern(a, (), frozenset(p for p in val if p.owner == a), 0, False)
                            for val in model.vals) for a in model.agents}
         self._assign(model.worlds, model.labels, model.vals, model.agents, model, (), leaves)
 
@@ -267,15 +321,19 @@ def _round_valuation(plain: EpistemicModel, prev: EpistemicModel, graphs) -> tup
     true, and its columns, read off ``prev``'s.  ``plain`` lists a world
     ``(v, step)`` per world v of ``prev`` and graph, in that order, as the
     products do.  A sender's view is its own atom, so constant on its
-    blocks: an agent's view is built once per class of its senders."""
+    blocks: an agent's view is built once per class of its senders.  Its
+    children are latest views of ``prev``, so it is concrete and one round
+    deeper, and it is built on the trusted path."""
     latest, columns = prev.columns, {}
+    depth = 1 + next(iter(latest.values()))[0].depth if prev.worlds else 0
     for a in plain.agents:
         heard = {}  # senders -> the agent's new view at each world of prev
         for senders in dict.fromkeys(g.heard[a] for g in graphs):
+            cols = [latest[b] for b in sorted(senders)]
             classes, col = group_labels(prev, senders), []
             for i, c in enumerate(classes):
                 if c == len(col):  # classes are numbered by their first world
-                    col.append(View(a, [latest[b][i] for b in sorted(senders)]))
+                    col.append(_intern(a, tuple([x[i] for x in cols]), None, depth, False))
             heard[senders] = [col[c] for c in classes]
         columns[a] = tuple(chain.from_iterable(zip(*(heard[g.heard[a]] for g in graphs))))
     vals = tuple(val | frozenset(row) for val, row in zip(plain.vals, zip(*columns.values())))

@@ -530,6 +530,18 @@ class TestDeepNesting:
         else:
             assert code == 0 and len(json.loads(out)["worlds"]) == 4 and err == ""
 
+    @pytest.mark.parametrize("rounds", [500, 600])
+    def test_a_deeper_history_prints(self, capsys, rounds):
+        # views are rendered without one Python frame per round
+        start = time.perf_counter()
+        code, out, err = run(capsys, "update", "Sq", "--history", "--with", "I",
+                             "--rounds", str(rounds))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and err == ""
+        printed = json.loads(out)
+        assert len(printed["worlds"]) == 4
+        assert max(map(len, printed["history_atoms"])) == 2 * rounds + 3
+
     def test_printing_history_variables_past_the_cap_exits_two(self, capsys):
         # with U, the largest view after n rounds prints 2^(n+2) - 2 characters
         code, out, err = run(capsys, "update", "Sq", "--history", "--with", "U",

@@ -15,7 +15,7 @@ from epiupdate import (
     induced_action_model,
 )
 from epiupdate.fixtures import (
-    byz_initial_model, byz_pattern, immediate_snapshot, sq_model, P_A, P_B,
+    byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot, sq_model, P_A, P_B,
 )
 from epiupdate import history
 from epiupdate.history import HistoryModel, View, induced_round_product
@@ -190,6 +190,89 @@ class TestViews:
                 monkeypatch.setattr(models, "DEFAULT_WORLD_CAP", n - 1)
                 with pytest.raises(ModelCapError, match=f"history variable would print {n} "):
                     show(v)
+
+
+class TestViewTable:
+    """One table of weak references holds the live views; the public
+    constructor checks its fields and a round interns on the trusted path."""
+
+    def test_a_dropped_history_leaves_the_table_as_it_was(self):
+        gc.collect()
+        before = len(history._VIEWS)
+        h = history_power(sq_model(), immediate_snapshot(), 3)
+        assert len(history._VIEWS) > before
+        del h
+        gc.collect()
+        assert len(history._VIEWS) == before
+
+    def test_a_late_callback_spares_the_view_that_took_its_key(self):
+        # the callback of a dead view's entry runs after an equal view has
+        # been interned under the same key: the new entry stays
+        key = ("zz", (), frozenset())
+        view = View("zz", (), frozenset())
+        dead = history._VIEWS[key]
+        del view
+        gc.collect()
+        assert dead() is None and key not in history._VIEWS
+        fresh = View("zz", (), frozenset())
+        history._drop(dead)
+        assert history._VIEWS[key]() is fresh
+        assert View("zz", (), frozenset()) is fresh
+
+    def test_rounds_intern_the_views_the_constructor_builds(self, monkeypatch):
+        rng = random.Random(2601)
+        checked = 0
+        for i in range(8):
+            m = (random_interpreted_system(rng, max_agents=2) if i % 2
+                 else random_local_model(rng, max_agents=2, max_worlds=5))
+            p = random_pattern(rng, m.agents, max_graphs=2)
+            atoms = frozenset(model_atoms(m))
+            h, chain = history_start(m), m
+            models = [(0, h)]
+            for n in range(1, 4):
+                h = history_update(h, p)
+                chain = induced_round_product(
+                    chain, p, atoms | realized_history_atoms(chain), m, n - 1)
+                models += [(n, h), (n, chain)]
+            views = [(n, v) for n, model in models
+                     for v in set().union(*model.columns.values())]
+            for n, v in views:
+                assert View(v.owner, v.children, v.initial) is v
+                assert (v.depth, v.is_abstract) == (n, False)
+            # built afresh by the public constructor, in a table of its own
+            monkeypatch.setattr(history, "_VIEWS", {})
+            for n, v in views:
+                fresh = View(v.owner, v.children, v.initial)
+                assert fresh is not v and fresh == v and hash(fresh) == hash(v)
+                assert (fresh.depth, fresh.is_abstract) == (v.depth, v.is_abstract)
+            monkeypatch.undo()
+            checked += len(views)
+        assert checked > 500
+
+    def test_the_constructor_checks_its_fields(self):
+        a, b = View("a", (), frozenset()), View("b", (), frozenset())
+        View("a", [a, b])  # valid, and in the table from here on
+        with pytest.raises(ValueError, match="distinct owners in agent order"):
+            View("a", [b, a])
+        with pytest.raises(ValueError, match="distinct owners in agent order"):
+            View("a", [a, a])
+        with pytest.raises(ValueError, match="owner must be among the agents it heard from"):
+            View("c", [a, b])
+        with pytest.raises(ValueError, match="only round-zero views carry"):
+            View("a", [a, b], frozenset())
+
+    def test_deep_views_render_without_recursion(self):
+        # one frame per round would pass Python's recursion limit
+        n = 2000
+        h = history_power(sq_model(), identity_pattern(), n)
+        view = h.columns["a"][next(i for i, val in enumerate(h.vals) if P_A in val)]
+        assert view.depth == n
+        assert view.serialize() == ".".join(["a"] * n)
+        assert str(view) == "(" + ".".join(["a"] * n) + ")_a"
+        assert view.printed_length() == len(str(view))
+        assert view.id_name() == str(view) + "[p_a]"
+        assert view.skeleton() is view_of("a", [identity_pattern().graphs[0]] * n)
+        assert atom_holds(h.vals[0] | {view}, view.skeleton())
 
 
 class TestRoundUpdate:
@@ -532,11 +615,15 @@ class TestReferenceViews:
         # view per (agent, sender set, class) of the model before it
         sq, isp = sq_model(), immediate_snapshot()
         atoms = frozenset({P_A, P_B})
-        built = []
-        new = View.__new__
+        built, public = [], []
+        intern, new = history._intern, View.__new__
 
-        def counted(cls, *args):
+        def counted(*args):
             built.append(1)
+            return intern(*args)
+
+        def constructed(cls, *args):
+            public.append(1)
             return new(cls, *args)
 
         def triples(model):
@@ -546,7 +633,8 @@ class TestReferenceViews:
 
         def views_built(step, *args):
             built.clear()
-            monkeypatch.setattr(View, "__new__", staticmethod(counted))
+            monkeypatch.setattr(history, "_intern", counted)
+            monkeypatch.setattr(View, "__new__", staticmethod(constructed))
             try:
                 return step(*args), len(built)
             finally:
@@ -560,6 +648,7 @@ class TestReferenceViews:
                                           atoms | realized_history_atoms(chain), sq, n - 1)
             if n > 1:  # round one also builds every world's leaves
                 assert in_round == in_chain == expected
+        assert public == []  # a round builds its views on the trusted path
         assert expected == 324
         assert h.valuation == reference_valuation(h, sq, 4, lambda g: g)
 
