@@ -27,12 +27,13 @@ compares that with the labels.  This is the one view stepper over
 models: universes of history variables are read off history rounds,
 which the world cap bounds; ``view_of`` is its abstract step.  Views are
 hash-consed (Filliatre & Conchon, 2006) through one table of weak
-references that keeps none alive, so a history round and an induced
-chain alive together share their history variables, and valuations
-compare them by identity.  The public ``View(...)`` checks its fields
-and then interns; a round interns its views directly on the trusted
-path, one dictionary lookup for a view that exists, since every child is
-a latest view of the round before.
+references, so a history round and an induced chain alive together share
+their history variables, and valuations compare them by identity.  A
+view dies with no Python frame: its entry is swept before the next view
+is built or when the collector next runs.  The public ``View(...)``
+checks its fields and then interns; a round interns its views directly
+on the trusted path, one dictionary lookup for a view that exists, since
+every child is a latest view of the round before.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round.  There is no second evaluator: ``semantics.satisfies`` on
@@ -48,6 +49,7 @@ whether the agent's actual view has that shape, regardless of content.
 """
 from __future__ import annotations
 
+import gc
 import weakref
 from itertools import chain, product
 
@@ -57,13 +59,26 @@ from .models import (
     EpistemicModel, atom_key, ensure_capacity, ensure_printable, group_labels, world_name,
 )
 
-_VIEWS = {}  # fields -> a weakref.KeyedRef to the live view with them
+_VIEWS = {}  # fields -> a weakref.KeyedRef to the view with them
+# A dying view hands its ref to a builtin, _DEAD.append, so it dies with no
+# Python frame; its entry stays until the next sweep, and the entry's key
+# keeps the dead view's children alive until then.
+_DEAD = []
+_died = _DEAD.append
 
 
-def _drop(ref) -> None:
-    """Remove a dead view's entry, unless an equal view has taken its key."""
-    if _VIEWS.get(ref.key) is ref:
-        del _VIEWS[ref.key]
+def _sweep(*_) -> None:
+    """Remove the entries of dead views, unless an equal view has taken the
+    key.  Runs before a view is built and at each run of the collector; a
+    freed key frees its children, whose refs join the queue."""
+    while _DEAD:
+        ref = _DEAD.pop()
+        if _VIEWS.get(ref.key) is ref:
+            del _VIEWS[ref.key]
+        del ref  # the last holder of its key, and so of the children
+
+
+gc.callbacks.append(_sweep)
 
 
 def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "View":
@@ -72,7 +87,8 @@ def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "
     The trusted path: ``children`` is a tuple in agent order holding
     ``owner``, ``initial`` is given only without children, and ``depth``
     and ``is_abstract`` are what the children make them.  ``View(...)``
-    checks its fields and ends here.
+    checks its fields and ends here.  The entries of views that died
+    since the last view was built are swept first.
     """
     # hash(None) is address-based on some Pythons, so a view without an
     # initial valuation leaves it out: hashes stay equal across runs
@@ -82,6 +98,8 @@ def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "
         view = ref()
         if view is not None:
             return view
+    if _DEAD:
+        _sweep()
     view = object.__new__(View)
     view.owner = owner
     view.children = children
@@ -92,7 +110,7 @@ def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "
     view._skeleton = None
     view._printed = None
     view._text = None
-    _VIEWS[key] = weakref.KeyedRef(view, _drop, key)
+    _VIEWS[key] = weakref.KeyedRef(view, _died, key)
     return view
 
 
@@ -107,10 +125,11 @@ class View:
     counts the rounds, 0 for a round-zero view.  As a local atom of its
     owner a view is the history variable of its round.  Views are
     immutable and hash-consed through one table of weak references, so
-    equal views are one object while any is alive; equality stays
-    structural, so no answer depends on the table.  ``View(...)`` checks
-    its fields; a round builds its views through ``_intern``, the trusted
-    path, since their children are the latest views of the round before.
+    equal views are one object while any is alive (a dead view's entry
+    stays until the next sweep); equality stays structural, so no answer
+    depends on the table.  ``View(...)`` checks its fields; a round builds
+    its views through ``_intern``, the trusted path, since their children
+    are the latest views of the round before.
     """
 
     __slots__ = ("owner", "children", "initial", "depth", "is_abstract", "_hash",
@@ -118,6 +137,9 @@ class View:
 
     def __new__(cls, owner, children=(), initial=None):
         children = tuple(children)
+        ref = _VIEWS.get((owner, children) if initial is None else (owner, children, initial))
+        if ref is not None and (view := ref()) is not None:
+            return view  # a view in the table has passed these checks
         if not children:
             return _intern(owner, children, initial, 0, initial is None)
         group = [c.owner for c in children]
@@ -146,10 +168,11 @@ class View:
 
     def skeleton(self) -> "View":
         """The same tree with all leaf content removed (built once per view)."""
-        for v in _bottom_up(self, lambda v: v._skeleton is not None):
-            sk = View(v.owner, [c._skeleton or c for c in v.children])
-            if sk is not v:  # a view keeping itself would be a cycle
-                v._skeleton = sk
+        if self._skeleton is None:
+            for v in _bottom_up(self, lambda v: v._skeleton is not None):
+                sk = View(v.owner, [c._skeleton or c for c in v.children])
+                # a view keeping itself would be a cycle: False stands for it
+                v._skeleton = False if sk is v else sk
         return self._skeleton or self
 
     def serialize(self) -> str:
@@ -158,28 +181,30 @@ class View:
         Leaves are invisible; a view whose children are all round-zero
         prints as just its sender set.  Built once per view.
         """
-        for v in _bottom_up(self, lambda v: v._text is not None):
-            root = "".join(c.owner for c in v.children)
-            inner = [c._text for c in v.children]
-            if not any(inner):  # a leaf, or all children are leaves
-                v._text = root
-            elif len(inner) == 1:
-                v._text = f"{inner[0]}.{root}"
-            else:
-                v._text = "(" + ",".join(inner) + f").{root}"
+        if self._text is None:
+            for v in _bottom_up(self, lambda v: v._text is not None):
+                root = "".join(c.owner for c in v.children)
+                inner = [c._text for c in v.children]
+                if not any(inner):  # a leaf, or all children are leaves
+                    v._text = root
+                elif len(inner) == 1:
+                    v._text = f"{inner[0]}.{root}"
+                else:
+                    v._text = "(" + ",".join(inner) + f").{root}"
         return self._text
 
     def _counts(self) -> tuple:
         """``(len(self.serialize()), characters of the leaf names, leaves)``,
         counted once per view from its children's, so a print is measured unbuilt."""
-        for v in _bottom_up(self, lambda v: v._printed is not None):
-            if v.depth:
-                ser, chars, leaves = map(sum, zip(*[c._printed for c in v.children]))
-                if ser:  # "inner.root" or "(inner,...).root"
-                    ser += 1 if len(v.children) == 1 else len(v.children) + 2
-                v._printed = (ser + sum(len(c.owner) for c in v.children), chars, leaves)
-            else:
-                v._printed = (0, len(_leaf_name(v)), 1)
+        if self._printed is None:
+            for v in _bottom_up(self, lambda v: v._printed is not None):
+                if v.depth:
+                    ser, chars, leaves = map(sum, zip(*[c._printed for c in v.children]))
+                    if ser:  # "inner.root" or "(inner,...).root"
+                        ser += 1 if len(v.children) == 1 else len(v.children) + 2
+                    v._printed = (ser + sum(len(c.owner) for c in v.children), chars, leaves)
+                else:
+                    v._printed = (0, len(_leaf_name(v)), 1)
         return self._printed
 
     def printed_length(self) -> int:

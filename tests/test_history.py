@@ -201,13 +201,18 @@ class TestViewTable:
         before = len(history._VIEWS)
         h = history_power(sq_model(), immediate_snapshot(), 3)
         assert len(history._VIEWS) > before
+        leaf = h.columns["a"][0]
+        while leaf.children:
+            leaf = leaf.children[0]
+        leaf = weakref.ref(leaf)
         del h
         gc.collect()
         assert len(history._VIEWS) == before
+        assert leaf() is None  # the views below went with the entries
 
     def test_a_late_callback_spares_the_view_that_took_its_key(self):
-        # the callback of a dead view's entry runs after an equal view has
-        # been interned under the same key: the new entry stays
+        # a dead view's ref is queued again, by hand, after an equal view
+        # has been interned under the same key: the sweep keeps the new entry
         key = ("zz", (), frozenset())
         view = View("zz", (), frozenset())
         dead = history._VIEWS[key]
@@ -215,9 +220,36 @@ class TestViewTable:
         gc.collect()
         assert dead() is None and key not in history._VIEWS
         fresh = View("zz", (), frozenset())
-        history._drop(dead)
+        history._died(dead)
+        history._sweep()
         assert history._VIEWS[key]() is fresh
         assert View("zz", (), frozenset()) is fresh
+
+    def test_a_view_dies_without_running_python_code(self):
+        # the entry waits in the queue, so freeing a round costs no frames
+        key = ("zy", (), frozenset())
+        view = View("zy", (), frozenset())
+        dead = history._VIEWS[key]
+        assert dead.__callback__ == history._DEAD.append
+        del view
+        assert history._DEAD[-1] is dead and history._VIEWS[key] is dead
+        history._sweep()
+        assert key not in history._VIEWS and not history._DEAD
+
+    def test_an_abstract_view_keeps_its_skeleton_without_a_cycle(self):
+        # an abstract view is its own skeleton; the memo says so with False
+        # rather than a reference to itself, so no collector is needed
+        p = immediate_snapshot()
+        view = view_of("a", p.graphs[:3])
+        assert view.skeleton() is view and view._skeleton is False
+        assert view.skeleton() is view
+        gone = weakref.ref(view)
+        gc.disable()
+        try:
+            del view
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_rounds_intern_the_views_the_constructor_builds(self, monkeypatch):
         rng = random.Random(2601)
@@ -239,8 +271,12 @@ class TestViewTable:
             for n, v in views:
                 assert View(v.owner, v.children, v.initial) is v
                 assert (v.depth, v.is_abstract) == (n, False)
-            # built afresh by the public constructor, in a table of its own
+            # built afresh by the public constructor, in a table and a queue
+            # of dead views of its own
+            dead = []
             monkeypatch.setattr(history, "_VIEWS", {})
+            monkeypatch.setattr(history, "_DEAD", dead)
+            monkeypatch.setattr(history, "_died", dead.append)
             for n, v in views:
                 fresh = View(v.owner, v.children, v.initial)
                 assert fresh is not v and fresh == v and hash(fresh) == hash(v)
