@@ -33,11 +33,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TypeVar
 
 from .errors import EpiupdateError
 from .models import (
     EpistemicModel, PointedModel, blocks_of, group_labels, is_interpreted_system, labels_by,
     world_name)
+
+Model = TypeVar("Model", bound=EpistemicModel)
 
 
 @dataclass
@@ -278,12 +281,13 @@ def n_bisimilar(model, world, other, other_world, n: int) -> bool:
     return labels[model._index[world]] == labels[offset + other._index[other_world]]
 
 
-def minimize(model: EpistemicModel) -> EpistemicModel:
-    """Quotient by the coarsest auto-bisimulation.
+def minimize(model: Model) -> Model:
+    """Quotient by the coarsest auto-bisimulation, of the input's type.
 
     The result is whole-model bisimilar to the input and no two of its
     worlds are bisimilar to each other; each quotient world is named by
-    its first representative.  Where no model is both, the call raises
+    its first representative, whose view columns a history model keeps,
+    so it steps like its round.  Where no model is both, the call raises
     ``EpiupdateError``: the quotient's group relation is the meet of its
     agents' relations, which can join two classes that no group block of
     the model joins.
@@ -306,7 +310,7 @@ def minimize(model: EpistemicModel) -> EpistemicModel:
     # bisimilar worlds hold equal views: the representatives' columns are the quotient's
     columns = model.columns and {a: tuple(col[i] for i in reps)
                                  for a, col in model.columns.items()}
-    quotient = EpistemicModel._trusted(worlds, quotient_labels, vals, model.agents, columns)
+    quotient = type(model)._trusted(worlds, quotient_labels, vals, model.agents, columns)
     _require_group_images(model, quotient, classes)
     return quotient
 

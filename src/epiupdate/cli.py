@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="action model update step (repeatable)")
     up.add_argument("--history", action="store_true",
                     help="record history variables round by round")
-    up.add_argument("--rounds", type=int, default=1,
-                    help="repeat the whole step sequence this many times")
+    up.add_argument("--rounds", type=int,
+                    help="repeat the whole step sequence this many times (default 1)")
     up.add_argument("-o", "--output", metavar="FILE")
 
     ck = sub.add_parser("check", help="evaluate a formula")
@@ -112,8 +112,11 @@ def _emit(text: str, path):
 
 
 def cmd_update(ws: Workspace, args) -> int:
-    if args.rounds < 1:
+    if args.rounds is not None and args.rounds < 1:
         raise EpiupdateError("--rounds must be at least 1")
+    if not args.steps and (args.history or args.rounds is not None):
+        flag = "--history" if args.history else "--rounds"
+        raise EpiupdateError(f"{flag} needs a --with or --with-action step")
     current = ws.lookup("model", args.model)
     steps = []
     for op, name in args.steps or []:
@@ -122,7 +125,7 @@ def cmd_update(ws: Workspace, args) -> int:
         steps.append((op, ws.lookup(OPERAND_KINDS[op], name)))
     if args.history:
         current = history_start(current)
-    current = build_model_expr(ws, current, steps * args.rounds)
+    current = build_model_expr(ws, current, steps * (args.rounds or 1))
     _emit(json.dumps(model_to_json(current), indent=2) + "\n", args.output)
     return 0
 

@@ -16,13 +16,13 @@ An agent's view after sigma.R is its sender set in R with those senders'
 views after sigma (Fagin, Halpern, Moses & Vardi, *Reasoning About
 Knowledge*, 1995), built once per class of the senders' group.  The
 round state is each agent's latest view per world, the model's
-``columns``: the leaves in a history model at round zero, then each
-round's views; a quotient keeps its representatives' (bisimilar worlds
-hold equal views).  Graphs are reflexive, so a latest view holds the
-agent's previous one, and so on down to the leaf with its initial own
-atoms, and is itself an own atom: two worlds give an agent equal latest
-views iff they agree on its own atoms.  So ``models.own_labels`` groups
-by the columns, one hash per world, and ``is_interpreted_system``
+``columns``: the leaves at round zero, then each round's views, whose
+depth is the round; a quotient keeps its representatives' (bisimilar
+worlds hold equal views).  Graphs are reflexive, so a latest view holds
+the agent's previous one, and so on down to the leaf with its initial
+own atoms, and is itself an own atom: two worlds give an agent equal
+latest views iff they agree on its own atoms.  So ``models.own_labels``
+groups by the columns, one hash per world, and ``is_interpreted_system``
 compares that with the labels.  This is the one view stepper over
 models: universes of history variables are read off history rounds,
 which the world cap bounds; ``view_of`` is its abstract step.  Views are
@@ -36,7 +36,8 @@ on the trusted path, one dictionary lookup for a view that exists, since
 every child is a latest view of the round before.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
-history round.  There is no second evaluator: ``semantics.satisfies`` on
+history round; every model with columns is one, so bisimilar points
+agree on every formula.  There is no second evaluator: ``satisfies`` on
 a history model lets a pattern modality advance to the next round and
 rejects action-model modalities, which is the history-based semantics.
 
@@ -275,16 +276,16 @@ def atom_holds(valuation: frozenset, atom) -> bool:
 
 
 class HistoryModel(EpistemicModel):
-    """A model together with the rounds of communication that produced it.
+    """A model whose pattern step is the history round; every model with view columns.
 
-    Its worlds, relations and valuation are those of ``model``, whose
-    valuations include the accumulated history variables; worlds have
-    shape (...((w, R1), R2)...) for a base world w and one graph per
-    round.  It differs from a plain model only in its update step: a
-    pattern steps to the next history round and an action model is
-    rejected, so ``satisfies`` on a history model is the history-based
-    semantics.  Like any model it keeps no stepped models; from round zero
-    on it carries its view columns (see the module docstring).
+    Its valuations include the accumulated history variables.  Its worlds
+    are (v, R) in a history round and (v, (R, q)) in an induced chain
+    round, for a world v of the round before, a graph R and a fired
+    valuation q; round zero and quotients keep their input's world ids.
+    Only its update step differs from a plain model's: a pattern steps to
+    the next history round and an action model is rejected, so
+    ``satisfies`` on it is the history-based semantics.  ``round`` is
+    read off its view columns (see the module docstring).
     """
 
     def __init__(self, model: EpistemicModel):
@@ -297,12 +298,7 @@ class HistoryModel(EpistemicModel):
                     f"{world_name(w)} holds {min(held, key=atom_key)}")
         leaves = {a: tuple(_intern(a, (), frozenset(p for p in val if p.owner == a), 0, False)
                            for val in model.vals) for a in model.agents}
-        self._assign(model.worlds, model.labels, model.vals, model.agents, model, (), leaves)
-
-    def _assign(self, worlds, labels, vals, agents, base, rounds, columns):
-        super()._assign(worlds, labels, vals, agents, columns)
-        self.base = base
-        self.rounds = tuple(rounds)
+        self._assign(model.worlds, model.labels, model.vals, model.agents, leaves)
 
     @property
     def model(self) -> "HistoryModel":
@@ -311,7 +307,8 @@ class HistoryModel(EpistemicModel):
 
     @property
     def round(self) -> int:
-        return len(self.rounds)
+        """The depth of the latest views; 0 for a model without worlds."""
+        return next(iter(self.columns.values()))[0].depth if self.worlds else 0
 
     def __repr__(self):
         return f"<HistoryModel round {self.round}, {len(self.worlds)} worlds>"
@@ -335,22 +332,18 @@ def history_update(h: HistoryModel, pattern: CommPattern) -> HistoryModel:
     the valuation of (w, sigma.R) additionally contains the view variable
     of every agent for the extended history sigma.R.
     """
-    plain = pattern_update(h, pattern)
-    vals, columns = _round_valuation(plain, h, pattern.graphs)
-    return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents,
-                                 h.base, h.rounds + (pattern,), columns)
+    return _round_valuation(pattern_update(h, pattern), h, pattern.graphs)
 
 
-def _round_valuation(plain: EpistemicModel, prev: EpistemicModel, graphs) -> tuple:
-    """The valuations of ``plain`` with the new round's history variables
-    true, and its columns, read off ``prev``'s.  ``plain`` lists a world
-    ``(v, step)`` per world v of ``prev`` and graph, in that order, as the
-    products do.  A sender's view is its own atom, so constant on its
-    blocks: an agent's view is built once per class of its senders.  Its
-    children are latest views of ``prev``, so it is concrete and one round
-    deeper, and it is built on the trusted path."""
-    latest, columns = prev.columns, {}
-    depth = 1 + next(iter(latest.values()))[0].depth if prev.worlds else 0
+def _round_valuation(plain: EpistemicModel, prev: HistoryModel, graphs) -> HistoryModel:
+    """The next round: ``plain`` with the new round's history variables
+    true, as a history model whose columns are read off ``prev``'s.
+    ``plain`` lists a world ``(v, step)`` per world v of ``prev`` and graph,
+    in that order, as the products do.  A sender's view is its own atom,
+    so constant on its blocks: an agent's view is built once per class of
+    its senders.  Its children are latest views of ``prev``, so it is
+    concrete and one round deeper, and it is built on the trusted path."""
+    latest, columns, depth = prev.columns, {}, prev.round + 1
     for a in plain.agents:
         heard = {}  # senders -> the agent's new view at each world of prev
         for senders in dict.fromkeys(g.heard[a] for g in graphs):
@@ -362,7 +355,7 @@ def _round_valuation(plain: EpistemicModel, prev: EpistemicModel, graphs) -> tup
             heard[senders] = [col[c] for c in classes]
         columns[a] = tuple(chain.from_iterable(zip(*(heard[g.heard[a]] for g in graphs))))
     vals = tuple(val | frozenset(row) for val, row in zip(plain.vals, zip(*columns.values())))
-    return vals, columns
+    return HistoryModel._trusted(plain.worlds, plain.labels, vals, plain.agents, columns)
 
 
 def history_power(model: EpistemicModel, pattern: CommPattern, n: int) -> HistoryModel:
@@ -405,15 +398,16 @@ def realized_history_atoms(model: EpistemicModel) -> frozenset:
 
 def induced_round_product(model: EpistemicModel, pattern: CommPattern,
                           atoms, base: EpistemicModel,
-                          rounds_so_far: int) -> EpistemicModel:
+                          rounds_so_far: int) -> HistoryModel:
     """One induced-model round in the history setting, applied lazily.
 
-    ``model`` is the chain after ``rounds_so_far`` rounds from ``base``,
-    whose leaves are built here, or a later round with its columns.
-    ``atoms`` is the atom universe of the round (base atoms plus all history
-    variables realized in earlier rounds).  Worlds pair with (graph, fired
-    valuation) actions exactly as the materialized induced model would, and
-    the new round's history variables are made true, as in the round update.
+    ``model`` is the chain after ``rounds_so_far`` rounds: a model without
+    history variables at round 0, whose leaves are built here, or a history
+    model.  ``base`` is not read.  ``atoms`` is the atom universe of the
+    round (base atoms plus all history variables realized in earlier
+    rounds).  Worlds pair with (graph, fired valuation) actions exactly as
+    the materialized induced model would, and the new round's history
+    variables are made true: the result is a history model.
     """
     from .actions import apply_induced
 
@@ -421,17 +415,15 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
     if prev.columns is None:
         raise EpiupdateError(f"induced round {rounds_so_far + 1} reads the view columns "
                              f"of round {rounds_so_far}, and this model has none")
-    plain = apply_induced(model, pattern, atoms)
-    vals, columns = _round_valuation(plain, prev, pattern.graphs)
-    return EpistemicModel._trusted(plain.worlds, plain.labels, vals, plain.agents, columns)
+    return _round_valuation(apply_induced(model, pattern, atoms), prev, pattern.graphs)
 
 
-def induced_chain(model: EpistemicModel, rounds, base_atoms) -> EpistemicModel:
+def induced_chain(model: EpistemicModel, rounds, base_atoms) -> HistoryModel:
     """Apply one induced action model per round, left to right.
 
     Round k uses the induced model over the base atoms plus all history
     variables realized up to round k-1, so later rounds can convey what
-    was learned in earlier ones.
+    was learned in earlier ones.  No rounds leave ``model`` as it is.
     """
     current, atoms = model, frozenset(base_atoms)
     for k, pattern in enumerate(rounds):

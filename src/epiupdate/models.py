@@ -258,7 +258,7 @@ class EpistemicModel(_Partitioned):
     def _assign(self, worlds: tuple, labels: dict, vals: tuple, agents: tuple, columns=None):
         """The trusted path: ``labels`` per agent in the form of
         :func:`labels_by`, ``vals`` a frozenset per world in world order,
-        ``agents`` sorted, ``columns`` set by history rounds and kept by quotients."""
+        ``agents`` sorted, ``columns`` set only on history models."""
         self._assign_partitions(worlds, labels, agents)
         self.worlds = worlds
         self.vals = vals
@@ -358,8 +358,8 @@ def _component_name(x) -> str:
 def own_labels(model: EpistemicModel, agent) -> list:
     """Each world's block of the grouping by the agent's own atoms, in the
     form of :func:`labels_by`: by its column of latest views if the model has
-    columns (history and induced rounds and their quotients; see ``history``),
-    else by one intersection per distinct valuation."""
+    columns (a history model; see ``history``), else by one intersection per
+    distinct valuation."""
     if model.columns is not None:
         return labels_by(model.columns[agent])
     distinct = set(model.vals)

@@ -492,6 +492,29 @@ class TestMinimize:
         stepped = minimize(pattern_update(m, identity_pattern()))
         assert isomorphic(stepped, minimize(m))
 
+    def test_minimize_keeps_the_type(self):
+        # a history model's quotient is a history model of its round, which
+        # steps by history rounds and rejects action modalities; a plain
+        # model's quotient is plain
+        from epiupdate.actions import skip_model
+        from epiupdate.formulas import TRUE, ActionBox
+        from epiupdate.history import HistoryModel
+        rng = random.Random(2711)
+        merged = 0
+        for i in range(8):
+            m = random_interpreted_system(rng, 2) if i % 2 else random_local_model(rng, 2)
+            q = minimize(m)
+            assert type(q) is EpistemicModel and q.columns is None
+            p = random_pattern(rng, m.agents, max_graphs=2)
+            for h in (history_power(m, p, 2), induced_chain(m, [p, p], model_atoms(m))):
+                q = minimize(h)
+                merged += len(q.worlds) < len(h.worlds)
+                assert type(q) is HistoryModel and q.round == h.round == 2
+                skip = ActionBox(skip_model(m.agents), "skip", TRUE)
+                with pytest.raises(EpiupdateError, match="not interpreted in the history"):
+                    satisfies(q, q.worlds[0], skip)
+        assert merged
+
 
     def test_meet_of_images_rejected(self):
         m = images_meet_wider()

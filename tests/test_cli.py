@@ -61,6 +61,19 @@ class TestUpdate:
             assert code == 2 and out == ""
             assert err == "error: --rounds must be at least 1\n"
 
+    def test_history_or_rounds_without_a_step_rejected(self, capsys):
+        # both act on the steps, so without one they would be ignored
+        for flags, named in ((["--history"], "--history"), (["--rounds", "1"], "--rounds"),
+                             (["--history", "--rounds", "3"], "--history")):
+            code, out, err = run(capsys, "update", "Sq", *flags)
+            assert code == 2 and out == ""
+            assert err == f"error: {named} needs a --with or --with-action step\n"
+        code, _, err = run(capsys, "update", "Sq", "--rounds", "0")
+        assert code == 2 and err == "error: --rounds must be at least 1\n"
+        # with no flag, update prints the model as it is
+        code, out, err = run(capsys, "update", "Sq")
+        assert code == 0 and err == "" and len(json.loads(out)["worlds"]) == 4
+
     @pytest.mark.parametrize("cap", ["abc", "-5", "1.5"])
     def test_malformed_world_cap_exits_two(self, capsys, monkeypatch, cap):
         monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", cap)
@@ -471,6 +484,7 @@ class TestAcrossHashSeeds:
         (0, ["search", "--bases", "Sq:11", "--target", "pattern:Byz"]),
         (0, ["induce", "IS", "--round", "2", "--atoms", "p_a"]),
         (2, ["update", "Sq", "--history", "--with", "U", "--rounds", "30"]),
+        (2, ["update", "Sq", "--history", "--rounds", "3"]),
     ]
 
     def test_outputs_agree_across_hash_seeds(self, tmp_path):

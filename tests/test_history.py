@@ -482,10 +482,10 @@ class TestHistorySemantics:
         h1 = history_update(history_start(sq), isp)
         assert isinstance(h1, EpistemicModel)
         assert h1.model is h1
-        assert (h1.base, h1.rounds, h1.round) == (sq, (isp,), 1)
+        assert h1.round == 1
         # the pattern step is the next history round
         h2 = h1.step(isp)
-        assert h2.rounds == (isp, isp)
+        assert h2.round == 2
         assert models_bisimilar(h2, history_update(h1, isp))
 
 
@@ -780,3 +780,62 @@ class TestViewColumns:
                 assert models_bisimilar(induced_round_product(q, p, universe, m, n),
                                         induced_round_product(chain, p, universe, m, n))
         assert merged
+
+
+class TestBisimulationInvariance:
+    """Every model with view columns is a history model and steps by history
+    rounds, so the history semantics cannot tell bisimilar points apart."""
+
+    def test_bisimilar_points_agree_on_every_formula(self):
+        # each point of a history round agrees with its bisimilar points of
+        # the round's quotient and of the induced chain, on formulas whose
+        # boxes reach the variables of later rounds; a chain of no rounds is
+        # its plain base model, so the chain is compared from round 1 on
+        from epiupdate import extension
+        from epiupdate.bisim import pointed_classes
+        from epiupdate.models import atom_key
+        rng = random.Random(2727)
+        compared, disagreeing, truths = 0, 0, set()
+        for i in range(8):
+            m = (random_interpreted_system(rng, max_agents=2) if i % 2
+                 else random_local_model(rng, max_agents=2, max_worlds=5))
+            p = random_pattern(rng, m.agents, max_graphs=2)
+            for n in range(3):
+                h = history_power(m, p, n)
+                others = [minimize(h)]
+                if n:
+                    others.append(induced_chain(m, [p] * n, model_atoms(m)))
+                points = [(x, w) for x in (h, *others) for w in x.worlds]
+                classes = dict(zip([(id(x), w) for x, w in points], pointed_classes(points)))
+                atoms = sorted(set(model_atoms(m)) | history_atoms_below([p] * (n + 2), m),
+                               key=atom_key)
+                for _ in range(6):
+                    f = random_pattern_formula(rng, atoms, m.agents, [p], dyn_depth=2)
+                    holds = extension(h, f)
+                    for x in others:
+                        at = {}  # bisimulation class -> truth values at x's points
+                        ext = extension(x, f)
+                        for w in x.worlds:
+                            at.setdefault(classes[id(x), w], set()).add(w in ext)
+                        for w in h.worlds:
+                            got = at[classes[id(h), w]]
+                            compared += 1
+                            disagreeing += got != {w in holds}
+                            truths |= got
+        assert (disagreeing, truths) == (0, {True, False}) and compared > 1000
+
+    def test_a_round_on_a_quotient_or_a_chain_round(self):
+        # history_update takes any history model: the next round on a
+        # quotient or on a chain round is bisimilar to the next round on h
+        rng = random.Random(2728)
+        for i in range(8):
+            m = (random_interpreted_system(rng, max_agents=2) if i % 2
+                 else random_local_model(rng, max_agents=2, max_worlds=5))
+            p, nxt = (random_pattern(rng, m.agents, max_graphs=2) for _ in range(2))
+            for n in range(1, 3):
+                h = history_power(m, p, n)
+                after = history_update(h, nxt)
+                for x in (minimize(h), induced_chain(m, [p] * n, model_atoms(m))):
+                    stepped = history_update(x, nxt)
+                    assert isinstance(stepped, HistoryModel) and stepped.round == n + 1
+                    assert models_bisimilar(stepped, after)

@@ -182,8 +182,7 @@ class TestInterpretedSystem:
         h = history_update(history_update(history_start(sq_model()), immediate_snapshot()),
                            immediate_snapshot())
         labels = {**h.labels, "a": [0] * len(h.worlds)}
-        merged = HistoryModel._trusted(h.worlds, labels, h.vals, h.agents,
-                                       h.base, h.rounds, h.columns)
+        merged = HistoryModel._trusted(h.worlds, labels, h.vals, h.agents, h.columns)
         assert is_interpreted_system(h) and merged.columns is h.columns
         assert not is_interpreted_system(merged)
         assert not reference_is_interpreted_system(merged)
