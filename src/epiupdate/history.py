@@ -30,10 +30,10 @@ hash-consed (Filliatre & Conchon, 2006) through one table of weak
 references, so a history round and an induced chain alive together share
 their history variables, and valuations compare them by identity.  A
 view dies with no Python frame: its entry is swept before the next view
-is built or when the collector next runs.  The public ``View(...)``
-checks its fields and then interns; a round interns its views directly
-on the trusted path, one dictionary lookup for a view that exists, since
-every child is a latest view of the round before.
+is built or when the collector next runs.  Views enter through one door,
+``_intern``, one lookup for a view that exists: the public ``View(...)``
+checks outside input first, and rounds, leaves and skeletons are valid by
+construction.  Round zero, ``HistoryModel(model)``, is the one start.
 
 A :class:`HistoryModel` is an epistemic model whose pattern step is the
 history round; every model with columns is one, so bisimilar points
@@ -87,9 +87,9 @@ def _intern(owner, children: tuple, initial, depth: int, is_abstract: bool) -> "
 
     The trusted path: ``children`` is a tuple in agent order holding
     ``owner``, ``initial`` is given only without children, and ``depth``
-    and ``is_abstract`` are what the children make them.  ``View(...)``
-    checks its fields and ends here.  The entries of views that died
-    since the last view was built are swept first.
+    and ``is_abstract`` are what the children make them.  It alone knows
+    the table's key; ``View(...)`` checks its fields and ends here.  The
+    entries of views that died since the last view was built are swept first.
     """
     # hash(None) is address-based on some Pythons, so a view without an
     # initial valuation leaves it out: hashes stay equal across runs
@@ -128,9 +128,8 @@ class View:
     immutable and hash-consed through one table of weak references, so
     equal views are one object while any is alive (a dead view's entry
     stays until the next sweep); equality stays structural, so no answer
-    depends on the table.  ``View(...)`` checks its fields; a round builds
-    its views through ``_intern``, the trusted path, since their children
-    are the latest views of the round before.
+    depends on the table.  ``View(...)`` serves outside input (the formula
+    parser, ``view_of``, user code): it checks its fields, then interns.
     """
 
     __slots__ = ("owner", "children", "initial", "depth", "is_abstract", "_hash",
@@ -138,9 +137,6 @@ class View:
 
     def __new__(cls, owner, children=(), initial=None):
         children = tuple(children)
-        ref = _VIEWS.get((owner, children) if initial is None else (owner, children, initial))
-        if ref is not None and (view := ref()) is not None:
-            return view  # a view in the table has passed these checks
         if not children:
             return _intern(owner, children, initial, 0, initial is None)
         group = [c.owner for c in children]
@@ -171,7 +167,8 @@ class View:
         """The same tree with all leaf content removed (built once per view)."""
         if self._skeleton is None:
             for v in _bottom_up(self, lambda v: v._skeleton is not None):
-                sk = View(v.owner, [c._skeleton or c for c in v.children])
+                sk = _intern(v.owner, tuple([c._skeleton or c for c in v.children]), None,
+                             v.depth, True)
                 # a view keeping itself would be a cycle: False stands for it
                 v._skeleton = False if sk is v else sk
         return self._skeleton or self
@@ -180,9 +177,10 @@ class View:
         """Canonical rendering: children in agent order, dot before the group.
 
         Leaves are invisible; a view whose children are all round-zero
-        prints as just its sender set.  Built once per view.
+        prints as just its sender set.  Counted first, then built once.
         """
         if self._text is None:
+            ensure_printable(self._counts()[0], "history variable")
             for v in _bottom_up(self, lambda v: v._text is not None):
                 root = "".join(c.owner for c in v.children)
                 inner = [c._text for c in v.children]
@@ -419,17 +417,17 @@ def induced_round_product(model: EpistemicModel, pattern: CommPattern,
 
 
 def induced_chain(model: EpistemicModel, rounds, base_atoms) -> HistoryModel:
-    """Apply one induced action model per round, left to right.
+    """Apply one induced action model per round, left to right, from round zero.
 
     Round k uses the induced model over the base atoms plus all history
     variables realized up to round k-1, so later rounds can convey what
-    was learned in earlier ones.  No rounds leave ``model`` as it is.
+    was learned in earlier ones.  No rounds leave ``history_start(model)``.
     """
     current, atoms = model, frozenset(base_atoms)
     for k, pattern in enumerate(rounds):
         current = induced_round_product(current, pattern, atoms, model, k)
         atoms |= frozenset().union(*current.columns.values())
-    return current
+    return HistoryModel(model) if current is model else current
 
 
 def displayed_round_points(pattern: CommPattern, sigma, base_atoms,

@@ -411,17 +411,16 @@ def group_relation(model: EpistemicModel, group) -> tuple:
 
 
 def group_labels(model: EpistemicModel, group) -> list:
-    """The labels of a nonempty agent group's relation, computed once per
-    model and group.  A group's class pairs its class without its last
-    agent (in name order) with its block of that agent."""
+    """The labels of a nonempty agent group's relation, checked and computed
+    once per model and group.  A group's class pairs its class without its
+    last agent (in name order) with its block of that agent."""
     b = frozenset(group)
-    if not b:
-        raise ValueError("agent group must be nonempty")
-    unknown = b - set(model.agents)
-    if unknown:
-        raise UnknownNameError(f"unknown agents in group: {sorted(unknown)}")
     hit = model._group_cache.get(b)
     if hit is None:
+        if not b:
+            raise ValueError("agent group must be nonempty")
+        if unknown := b - set(model.agents):
+            raise UnknownNameError(f"unknown agents in group: {sorted(unknown)}")
         *rest, last = sorted(b)
         hit = model.labels[last]
         if rest:

@@ -198,7 +198,7 @@ class _Parser:
             _, name, pos = self.next("IDENT")
             self.check_agent(name, pos)
             agents.append(name)
-            kind, _, _ = self.next()
+            kind, _, pos = self.next()
             if kind == "RBRACE":
                 break
             if kind != "COMMA":

@@ -444,6 +444,53 @@ class TestUnknownNames:
         assert err == f"error: {message}\n"
 
 
+class TestUserFacingBranches:
+    """Argument and formula faults that no other test reaches: each exits 2
+    with empty stdout and one exact ``error:`` line.  The ``whether:``
+    target, the one target kind nothing else runs, finds its pattern."""
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["check", "Sq", "p_a"], 2, "error: a world is required unless --valid is given"),
+        (["induce", "IS", "--round", "0"], 2, "error: --round must be at least 1"),
+        (["search", "--bases", "Sq:11", "--target", "p_a"], 2,
+         "error: target must be announce:FORMULA, whether:FORMULA, action:NAME or "
+         "pattern:NAME[:GRAPH]"),
+        (["search", "--bases", "Sq:11", "--target", "bogus:p_a"], 2,
+         "error: unknown target kind 'bogus'"),
+        (["search", "--bases", "Sq", "--target", "pattern:Byz"], 2,
+         "error: base references have the form MODEL:WORLD"),
+        (["search", "--bases", " , ", "--target", "pattern:Byz"], 2,
+         "error: at least one base is required"),
+        (["check", "Sq", "11", "[IS?] p_a"], 2, "error: unexpected character '?' (at position 3)"),
+        (["check", "Sq", "11", "(p_a p_b)"], 2,
+         "error: expected a binary operator, found 'p_b' (at position 5)"),
+        (["check", "Sq", "11", "[skip:I] p_a"], 2,
+         "error: 'skip' is not a pattern (at position 5)"),
+        (["check", "Sq", "11", "[IS.x] p_a"], 2,
+         "error: 'IS' is not an action model (at position 3)"),
+        (["check", "Sq", "11", "[IS:] p_a"], 2,
+         "error: expected a graph name or literal (at position 4)"),
+        (["check", "Sq", "11", "[IS:{a->c}] p_a"], 2,
+         "error: edge (a,c) mentions an unknown agent (at position 4)"),
+        (["check", "Sq", "11", "[IS:{a->b] p_a"], 2,
+         "error: unterminated graph literal (at position 4)"),
+        (["check", "Sq", "11", "IS p_a"], 2, "error: unexpected name 'IS' (at position 0)"),
+        (["check", "Sq", "11", "[IS x] p_a"], 2,
+         "error: expected ':', '.' or ']', found 'x' (at position 4)"),
+        # the position is the offending token's, not the name before it
+        (["check", "Sq", "11", "D{a b} p_a"], 2,
+         "error: expected ',' or '}' in agent group (at position 4)"),
+        (["search", "--bases", "Sq:11", "--target", "whether:p_a"], 0,
+         "result: equivalent pattern found: Rab"),
+    ])
+    def test_exit_code_and_last_line(self, capsys, argv, code, text):
+        got, out, err = run(capsys, *argv)
+        if code == 2:
+            assert (got, out, err) == (2, "", f"{text}\n")
+        else:
+            assert (got, err) == (code, "") and out.splitlines()[-1] == text
+
+
 class TestAcrossHashSeeds:
     """Output does not follow hash order: history variables hash their
     owner's name, so sets of them iterate differently under each seed."""

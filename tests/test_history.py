@@ -15,7 +15,8 @@ from epiupdate import (
     induced_action_model,
 )
 from epiupdate.fixtures import (
-    byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot, sq_model, P_A, P_B,
+    byz_initial_model, byz_pattern, identity_pattern, immediate_snapshot, sq_model,
+    universal_pattern, P_A, P_B,
 )
 from epiupdate import history
 from epiupdate.history import HistoryModel, View, induced_round_product
@@ -285,6 +286,46 @@ class TestViewTable:
             checked += len(views)
         assert checked > 500
 
+    def test_a_public_miss_makes_one_table_lookup(self, monkeypatch):
+        lookups = []
+
+        class Table(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(history, "_VIEWS", Table())
+        monkeypatch.setattr(history, "_DEAD", [])
+        leaf = View("a", (), frozenset())
+        assert lookups == [("a", (), frozenset())]
+        lookups.clear()
+        assert View("a", [leaf]).children == (leaf,)
+        assert lookups == [("a", (leaf,))]
+
+    def test_skeletons_are_interned_on_the_trusted_path(self, monkeypatch):
+        # a round's views are concrete; their skeletons are built without
+        # the public constructor, whose checks they pass by construction
+        h = history_power(sq_model(), immediate_snapshot(), 3)
+        public, new = [], View.__new__
+
+        def constructed(cls, *args):
+            public.append(1)
+            return new(cls, *args)
+
+        monkeypatch.setattr(View, "__new__", staticmethod(constructed))
+        skeletons = {a: [v.skeleton() for v in h.columns[a]] for a in h.agents}
+        assert public == []
+        monkeypatch.undo()
+        for i, w in enumerate(h.worlds):
+            graphs = []
+            while isinstance(w, tuple):
+                w, g = w
+                graphs.insert(0, g)
+            for a in h.agents:
+                sk = skeletons[a][i]
+                assert sk is view_of(a, graphs) and sk.skeleton() is sk
+                assert sk is View(sk.owner, sk.children)  # it passes the public checks
+
     def test_the_constructor_checks_its_fields(self):
         a, b = View("a", (), frozenset()), View("b", (), frozenset())
         View("a", [a, b])  # valid, and in the table from here on
@@ -296,6 +337,20 @@ class TestViewTable:
             View("c", [a, b])
         with pytest.raises(ValueError, match="only round-zero views carry"):
             View("a", [a, b], frozenset())
+
+    def test_a_rendering_is_counted_before_it_is_built(self, monkeypatch):
+        # a round of U doubles the text: round 14 prints 65,530 characters,
+        # round 15 would print 131,066, past the default cap
+        monkeypatch.delenv("EPIUPDATE_MAX_WORLDS", raising=False)
+        u = universal_pattern()
+        v14, v15, v20 = (history_power(sq_model(), u, n).columns["a"][0] for n in (14, 15, 20))
+        assert len(v14.serialize()) == 65530 and str(v14) == f"({v14.serialize()})_a"
+        for v, n in ((v15, 131066), (v20, 4194298)):
+            with pytest.raises(ModelCapError, match=f"history variable would print {n} "):
+                v.serialize()
+            assert v._text is None  # refused before any text was built
+        monkeypatch.setenv("EPIUPDATE_MAX_WORLDS", "131066")
+        assert len(v15.serialize()) == 131066
 
     def test_deep_views_render_without_recursion(self):
         # one frame per round would pass Python's recursion limit
@@ -375,10 +430,10 @@ class TestRoundUpdate:
         with pytest.raises(EpiupdateError, match=start):
             history_update(history_start(h1), isp)
         with pytest.raises(EpiupdateError, match=start):
-            induced_chain(h1, [isp], [P_A, P_B])
-        with pytest.raises(EpiupdateError, match=start):
             induced_round_product(h1, isp, [P_A, P_B], h1, 0)
         for rounds in ([isp], []):
+            with pytest.raises(EpiupdateError, match=start):
+                induced_chain(h1, rounds, [P_A, P_B])
             with pytest.raises(EpiupdateError, match=start):
                 round_variables(rounds, h1)
             with pytest.raises(EpiupdateError, match=start):
@@ -464,6 +519,16 @@ class TestHistorySemantics:
         f = PatternBox(isp, rab, Var(view_of("a", (rab,))))
         assert satisfies(history_start(sq), "11", f)
         assert not satisfies(sq, "11", f)
+
+    def test_a_chain_of_no_rounds_is_round_zero(self):
+        # it steps by history rounds, as its bisimilar history_start does
+        sq, isp = sq_model(), immediate_snapshot()
+        rab = graph("Rab", isp)
+        f = PatternBox(isp, rab, Var(view_of("b", (rab,))))
+        chain = induced_chain(sq, [], [P_A, P_B])
+        assert isinstance(chain, HistoryModel) and chain.round == 0
+        assert chain.columns == history_start(sq).columns
+        assert satisfies(history_start(sq), "11", f) and satisfies(chain, "11", f)
 
     def test_base_atom_formulas_agree_at_round_zero(self):
         rng = random.Random(11)
@@ -789,8 +854,7 @@ class TestBisimulationInvariance:
     def test_bisimilar_points_agree_on_every_formula(self):
         # each point of a history round agrees with its bisimilar points of
         # the round's quotient and of the induced chain, on formulas whose
-        # boxes reach the variables of later rounds; a chain of no rounds is
-        # its plain base model, so the chain is compared from round 1 on
+        # boxes reach the variables of later rounds
         from epiupdate import extension
         from epiupdate.bisim import pointed_classes
         from epiupdate.models import atom_key
@@ -802,9 +866,7 @@ class TestBisimulationInvariance:
             p = random_pattern(rng, m.agents, max_graphs=2)
             for n in range(3):
                 h = history_power(m, p, n)
-                others = [minimize(h)]
-                if n:
-                    others.append(induced_chain(m, [p] * n, model_atoms(m)))
+                others = [minimize(h), induced_chain(m, [p] * n, model_atoms(m))]
                 points = [(x, w) for x in (h, *others) for w in x.worlds]
                 classes = dict(zip([(id(x), w) for x, w in points], pointed_classes(points)))
                 atoms = sorted(set(model_atoms(m)) | history_atoms_below([p] * (n + 2), m),
@@ -832,7 +894,7 @@ class TestBisimulationInvariance:
             m = (random_interpreted_system(rng, max_agents=2) if i % 2
                  else random_local_model(rng, max_agents=2, max_worlds=5))
             p, nxt = (random_pattern(rng, m.agents, max_graphs=2) for _ in range(2))
-            for n in range(1, 3):
+            for n in range(3):
                 h = history_power(m, p, n)
                 after = history_update(h, nxt)
                 for x in (minimize(h), induced_chain(m, [p] * n, model_atoms(m))):
